@@ -177,7 +177,7 @@ func BenchmarkServeBrief(b *testing.B) {
 			// beam buffers hit steady state before the timer starts; the
 			// loop then measures the allocation-free path, not first-use
 			// buffer growth on whichever replicas the scheduler picks.
-			if err := srv.Pool().Warm(html); err != nil {
+			if err := srv.Pool().Warm(html, 1); err != nil {
 				b.Fatal(err)
 			}
 			benchHTTPPath(b, srv.Handler(), html)
@@ -271,7 +271,7 @@ func BenchmarkServeBriefCascade(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := srv.Pool().Warm(html); err != nil {
+			if err := srv.Pool().Warm(html, 1); err != nil {
 				b.Fatal(err)
 			}
 			benchHTTPPath(b, srv.Handler(), html)
@@ -308,7 +308,7 @@ func BenchmarkServeBriefCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := srv.Pool().Warm(html); err != nil {
+	if err := srv.Pool().Warm(html, 1); err != nil {
 		b.Fatal(err)
 	}
 	// Prime: the one miss computes and fills the cache.

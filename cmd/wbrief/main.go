@@ -5,9 +5,11 @@
 // Usage:
 //
 //	wbrief -model model.bin page.html
+//	wbrief -model model.snap page.html        # snapshot bundles load too
 //	wbrief -model model.bin -text page.html   # also dump the rendered visible text
 //
-// Train a model bundle first with cmd/wbtrain.
+// Train a model bundle first with cmd/wbtrain (gob, or -format snapshot),
+// or convert one with cmd/wbsnap.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"os"
 
 	"webbrief/internal/htmldom"
+	"webbrief/internal/textproc"
 	"webbrief/internal/wb"
 )
 
@@ -33,12 +36,7 @@ func main() {
 		log.Fatal("usage: wbrief -model model.bin page.html")
 	}
 
-	f, err := os.Open(*modelPath)
-	if err != nil {
-		log.Fatalf("open model: %v (train one with wbtrain)", err)
-	}
-	m, v, err := wb.LoadJointWB(f)
-	f.Close()
+	m, v, err := loadModel(*modelPath)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,4 +69,15 @@ func main() {
 		return
 	}
 	fmt.Print(brief.String())
+}
+
+// loadModel opens a model bundle in either format wbtrain and wbsnap write
+// (gob or snapshot), sniffing which from its leading bytes.
+func loadModel(path string) (*wb.JointWB, *textproc.Vocab, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("open model: %w (train one with wbtrain)", err)
+	}
+	defer f.Close()
+	return wb.LoadModelAuto(f)
 }

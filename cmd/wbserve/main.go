@@ -97,7 +97,7 @@ func main() {
 	probeOK := flag.Int("probe-successes", 2, "consecutive clean probes required to readmit an ejected replica")
 	chaos := flag.Float64("chaos", 0, "fault rate in [0,1] injected into ONE pool replica (0 = off) — a resilience drill")
 	chaosSeed := flag.Int64("chaosseed", 1, "seed for the -chaos fault schedule")
-	batchWindow := flag.Duration("batch-window", 0, "micro-batching window: admitted requests wait up to this long for batchmates before one fused batched forward (0 = off, exact per-request path)")
+	batchWindow := flag.Duration("batch-window", 0, "micro-batching window: admitted requests wait up to this long for batchmates before one fused batched forward (0 = off: each request runs inline as a batch of one)")
 	batchMax := flag.Int("batch-max", 8, "max requests coalesced into one micro-batch")
 	cascade := flag.Bool("cascade", false, "float32 student fast path: brief on a float32 model copy and escalate low-confidence decodes to the float64 teacher")
 	confThreshold := flag.Float64("confidence-threshold", 0.5, "cascade escalation cutoff in [0,1]: student decodes whose confidence score falls below it re-run on the teacher")

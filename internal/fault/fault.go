@@ -2,7 +2,9 @@
 // the crawling and serving ends of the pipeline. A Schedule draws an exact,
 // replayable sequence of faults from a seeded *rand.Rand — error, timeout,
 // slow-response and garbage-body — and the Fetcher and Replica wrappers
-// apply that sequence to any crawler-style fetcher or serve-style replica.
+// apply that sequence to any crawler-style fetcher or serve-style replica:
+// one draw per Fetch, and one per replica Brief call (a whole micro-batch
+// shares its draw).
 //
 // Determinism is the whole point: the same Config.Seed produces the same
 // fault at the same draw index on every platform (math/rand's generator is

@@ -213,39 +213,41 @@ func TestFetcherFaultKinds(t *testing.T) {
 }
 
 // nopReplica is a minimal PipelineReplica for wrapper tests.
-type nopReplica struct{ encodes, decodes int }
+type nopReplica struct{ briefs int }
 
 func (r *nopReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *nopReplica) Encode(inst *wb.Instance) *wb.Brief      { r.encodes++; return &wb.Brief{} }
-func (r *nopReplica) Decode(inst *wb.Instance, b *wb.Brief)   { r.decodes++ }
+func (r *nopReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	r.briefs++
+	return wb.Briefing{Briefs: []*wb.Brief{{}}}
+}
 
-// runRequest drives one Parse/Encode/Decode through rep, reporting a
-// recovered panic instead of crashing the test.
+// runRequest drives one Parse/Brief through rep, reporting a recovered
+// panic instead of crashing the test.
 func runRequest(rep PipelineReplica) (panicked any) {
 	defer func() { panicked = recover() }()
 	inst, err := rep.Parse("<p>x</p>")
 	if err != nil {
 		return fmt.Sprintf("parse: %v", err)
 	}
-	rep.Decode(inst, rep.Encode(inst))
+	rep.Brief([]*wb.Instance{inst})
 	return nil
 }
 
-// TestReplicaFaultKinds maps each kind onto its replica pathology.
+// TestReplicaFaultKinds maps each kind onto its replica pathology, one draw
+// per Brief call.
 func TestReplicaFaultKinds(t *testing.T) {
-	// Error: Encode panics before the inner replica runs.
+	// Error: Brief panics before the inner replica runs.
 	inner := &nopReplica{}
 	rep := NewReplica(inner, NewSchedule(Config{Seed: 1, Rate: 1, ErrorWeight: 1}))
-	if p := runRequest(rep); p == nil || inner.encodes != 0 {
-		t.Fatalf("error fault: panic=%v encodes=%d, want panic before Encode", p, inner.encodes)
+	if p := runRequest(rep); p == nil || inner.briefs != 0 {
+		t.Fatalf("error fault: panic=%v briefs=%d, want panic before the inner Brief", p, inner.briefs)
 	}
 
-	// Garbage: Encode succeeds, Decode panics.
+	// Garbage: the inner Brief runs, then the wrapper panics.
 	inner = &nopReplica{}
 	rep = NewReplica(inner, NewSchedule(Config{Seed: 1, Rate: 1, GarbageWeight: 1}))
-	if p := runRequest(rep); p == nil || inner.encodes != 1 || inner.decodes != 0 {
-		t.Fatalf("garbage fault: panic=%v encodes=%d decodes=%d, want panic between stages",
-			p, inner.encodes, inner.decodes)
+	if p := runRequest(rep); p == nil || inner.briefs != 1 {
+		t.Fatalf("garbage fault: panic=%v briefs=%d, want panic after the inner Brief", p, inner.briefs)
 	}
 
 	// Timeout: wedge for TimeoutHang, then complete normally.
@@ -253,11 +255,36 @@ func TestReplicaFaultKinds(t *testing.T) {
 	rec := &sleepRecorder{}
 	rep = NewReplica(inner, NewSchedule(Config{Seed: 1, Rate: 1, TimeoutWeight: 1, TimeoutHang: 100 * time.Millisecond}))
 	rep.Sleep = rec.Sleep
-	if p := runRequest(rep); p != nil || inner.decodes != 1 {
-		t.Fatalf("timeout fault: panic=%v decodes=%d, want wedge then completion", p, inner.decodes)
+	if p := runRequest(rep); p != nil || inner.briefs != 1 {
+		t.Fatalf("timeout fault: panic=%v briefs=%d, want wedge then completion", p, inner.briefs)
 	}
 	if len(rec.slept) != 1 || rec.slept[0] != 100*time.Millisecond {
 		t.Fatalf("wedge slept %v, want [100ms]", rec.slept)
+	}
+
+	// Slow: delayed by the drawn latency, then complete normally.
+	inner = &nopReplica{}
+	rec = &sleepRecorder{}
+	rep = NewReplica(inner, NewSchedule(Config{Seed: 1, Rate: 1, SlowWeight: 1, SlowDelay: time.Millisecond}))
+	rep.Sleep = rec.Sleep
+	if p := runRequest(rep); p != nil || inner.briefs != 1 {
+		t.Fatalf("slow fault: panic=%v briefs=%d, want delay then completion", p, inner.briefs)
+	}
+	if len(rec.slept) != 1 || rec.slept[0] < time.Millisecond || rec.slept[0] >= 2*time.Millisecond {
+		t.Fatalf("slow fault slept %v, want one delay in [1ms, 2ms)", rec.slept)
+	}
+
+	// One draw per Brief call, however many instances it carries; Parse
+	// draws nothing.
+	sched := NewSchedule(Config{Seed: 1, Rate: 0})
+	rep = NewReplica(&nopReplica{}, sched)
+	insts := make([]*wb.Instance, 4)
+	for i := range insts {
+		insts[i], _ = rep.Parse("<p>x</p>")
+	}
+	rep.Brief(insts)
+	if n := sched.Draws(); n != 1 {
+		t.Fatalf("4 parses + 1 batched Brief drew %d faults, want 1", n)
 	}
 
 	// Clean draws pass through, and a fault does not leak into the next
@@ -269,7 +296,7 @@ func TestReplicaFaultKinds(t *testing.T) {
 			t.Fatalf("clean request %d panicked: %v", i, p)
 		}
 	}
-	if inner.encodes != 3 || inner.decodes != 3 {
-		t.Fatalf("clean requests reached inner %d/%d times, want 3/3", inner.encodes, inner.decodes)
+	if inner.briefs != 3 {
+		t.Fatalf("clean requests reached inner %d times, want 3", inner.briefs)
 	}
 }

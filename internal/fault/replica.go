@@ -11,30 +11,29 @@ import (
 // import this package). serve.Replica and *Replica here are interchangeable.
 type PipelineReplica interface {
 	Parse(html string) (*wb.Instance, error)
-	Encode(inst *wb.Instance) *wb.Brief
-	Decode(inst *wb.Instance, b *wb.Brief)
+	Brief(insts []*wb.Instance) wb.Briefing
 }
 
 // Replica wraps a serving replica with the faults a Schedule draws, one
-// draw per request (at Parse time, since Pool checkout is exclusive a
-// request's three stages never interleave with another's on the same
-// replica). The kinds map onto replica pathologies:
+// draw per Brief call — so one per request, or one per micro-batch, and a
+// fault hits every member of the batch it lands on. Parse passes through
+// untouched: parse errors mean "bad input" (422) to the serving layer,
+// never "bad replica". The kinds map onto replica pathologies:
 //
-//	Error:   Encode panics — the "briefing engine hit a bug" failure the
-//	         serve layer must recover, eject and retry around;
-//	Timeout: Encode wedges for TimeoutHang before completing — the stall
-//	         the watchdog must detect and eject, with the replica coming
-//	         back probe-able once the wedge resolves;
-//	Slow:    Encode is late by the drawn delay but correct;
-//	Garbage: Decode panics after Encode succeeded — state corrupted
+//	Error:   Brief panics before the inner replica runs — the "briefing
+//	         engine hit a bug" failure the serve layer must recover, eject
+//	         and retry around;
+//	Timeout: Brief wedges for TimeoutHang, then completes — the stall the
+//	         watchdog must detect and eject, with the replica coming back
+//	         probe-able once the wedge resolves;
+//	Slow:    Brief is late by the drawn delay but correct;
+//	Garbage: Brief panics after the inner replica ran — state corrupted
 //	         mid-pipeline.
 type Replica struct {
 	Inner PipelineReplica
 	Sched *Schedule
 	// Sleep is the blocking seam (nil = time.Sleep).
 	Sleep func(time.Duration)
-
-	pending Fault
 }
 
 // NewReplica wraps inner with faults drawn from sched.
@@ -50,33 +49,25 @@ func (r *Replica) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// Parse draws this request's fault and parses cleanly — parse errors mean
-// "bad input" (422) to the serving layer, never "bad replica", so faults
-// fire in the model stages instead.
+// Parse passes through to the inner replica.
 func (r *Replica) Parse(html string) (*wb.Instance, error) {
-	r.pending = r.Sched.Next()
 	return r.Inner.Parse(html)
 }
 
-// Encode applies Error (panic), Timeout (wedge) and Slow (delay) faults.
-func (r *Replica) Encode(inst *wb.Instance) *wb.Brief {
-	switch r.pending.Kind {
+// Brief draws this call's fault and applies it around the inner Brief.
+func (r *Replica) Brief(insts []*wb.Instance) wb.Briefing {
+	f := r.Sched.Next()
+	switch f.Kind {
 	case Error:
-		panic("fault: injected replica panic in Encode")
+		panic("fault: injected replica panic before Brief")
 	case Timeout:
 		r.sleep(r.Sched.cfg.TimeoutHang)
 	case Slow:
-		r.sleep(r.pending.Delay)
+		r.sleep(f.Delay)
 	}
-	return r.Inner.Encode(inst)
-}
-
-// Decode applies the Garbage fault (panic after a clean Encode).
-func (r *Replica) Decode(inst *wb.Instance, b *wb.Brief) {
-	if r.pending.Kind == Garbage {
-		r.pending = Fault{}
-		panic("fault: injected replica panic in Decode")
+	res := r.Inner.Brief(insts)
+	if f.Kind == Garbage {
+		panic("fault: injected replica panic after Brief")
 	}
-	r.pending = Fault{}
-	r.Inner.Decode(inst, b)
+	return res
 }

@@ -11,20 +11,24 @@ import (
 // This file is the cross-request micro-batch scheduler: the batching stage
 // that sits between admission and the replica pool when Config.BatchWindow
 // is set. Requests admitted concurrently coalesce into one batch of up to
-// BatchMax; the batch briefs in fused B-row forward passes on a single
-// replica checkout (see BatchReplica), so concurrent load turns into wider
-// matmuls instead of replica contention. The window is bounded and
-// deadline-aware: a batch fires as soon as it is full, its window elapses,
-// or waiting longer would expire a member's context.
+// BatchMax; the batch briefs in one fused B-row forward on a single replica
+// checkout (see Replica.Brief), so concurrent load turns into wider matmuls
+// instead of replica contention. The window is bounded and deadline-aware:
+// a batch fires as soon as it is full, its window elapses, or waiting
+// longer would expire a member's context.
 //
 // Ownership is linear, so no item field needs a lock: the handler builds a
 // batchItem and only ever touches ctx and result afterwards; the dispatcher
 // owns it between the batchCh send and launch; exactly one executor
 // goroutine owns it from launch until deliver. Each handoff is through a
 // channel, which orders the accesses.
+//
+// The same item, runner and retry loop also carry every request when
+// batching is off: the handler then runs a batch of one inline on the
+// replica it checked out (see execute), with no dispatcher hop.
 
 // batchItem is one admitted request waiting in (or running through) the
-// micro-batch scheduler.
+// micro-batch scheduler, or running inline as a batch of one.
 type batchItem struct {
 	ctx      context.Context
 	body     []byte
@@ -58,22 +62,16 @@ func (it *batchItem) deliver(o pipelineOutcome) {
 
 // briefBatched is handleBrief's tail when batching is on: enqueue the
 // request for the dispatcher and wait for its outcome or the context. The
-// batchCh buffer is the admission queue (same depth as the serial path's
+// batchCh buffer is the admission queue (same depth as the inline path's
 // queueSlots); a full channel sheds with 429 exactly like a full queue.
 // fill is the request's cache-fill obligation (nil when caching is off or
 // the request bypassed the cache); shed and expired exits leave it to the
 // caller's deferred abandon.
-func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, ctx context.Context, body []byte, fill *cacheFill) {
+func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, it *batchItem, fill *cacheFill) {
 	m := s.metrics
-	it := &batchItem{
-		ctx:      ctx,
-		body:     body,
-		enqueued: time.Now(),
-		result:   make(chan batchResult, 1),
-	}
 	// Admission: take a slot or shed. Slots are held until the response, so
 	// the scheduler can never accumulate more outstanding requests than the
-	// serial path's queued + in-flight ceiling.
+	// inline path's queued + in-flight ceiling.
 	select {
 	case s.batchSlots <- struct{}{}:
 	default:
@@ -98,16 +96,28 @@ func (s *Server) briefBatched(w http.ResponseWriter, lg *accessEntry, ctx contex
 	}
 	// Cannot block: channel capacity equals the slot count.
 	s.batchCh <- it
+	s.await(w, lg, it, fill)
+}
+
+// await answers a request from its item: the runner's outcome, or its
+// context error when the runner dropped it expired. A delivered outcome
+// wins over a context that expired at the same moment. An expired member
+// never poisons its batchmates — the runner skips or ctxErr-delivers it.
+func (s *Server) await(w http.ResponseWriter, lg *accessEntry, it *batchItem, fill *cacheFill) {
+	var res batchResult
 	select {
-	case res := <-it.result:
-		m.QueueWait.Observe(res.queueWait)
-		lg.QueueMS = roundMS(res.queueWait)
-		s.respondOutcome(w, lg, res.o, fill)
-	case <-ctx.Done():
-		// The executor skips or ctxErr-delivers expired items; this
-		// request's slot in the batch cannot poison its batchmates.
-		s.failCtx(w, lg, ctx.Err())
+	case res = <-it.result:
+	case <-it.ctx.Done():
+		select {
+		case res = <-it.result:
+		default:
+			s.failCtx(w, lg, it.ctx.Err())
+			return
+		}
 	}
+	s.metrics.QueueWait.Observe(res.queueWait)
+	lg.QueueMS = roundMS(res.queueWait)
+	s.respondOutcome(w, lg, res.o, fill)
 }
 
 // dispatchBatches is the scheduler goroutine: it groups enqueued requests
@@ -173,7 +183,13 @@ func (s *Server) launch(batch []*batchItem) {
 		m.BatchWait.Observe(now.Sub(it.enqueued))
 	}
 	s.batchWG.Add(1)
-	go s.executeBatch(batch)
+	go func() {
+		defer s.batchWG.Done()
+		// One pool snapshot per batch: every checkout, retry and Put
+		// targets a single model generation even if a hot reload swaps the
+		// live pointer mid-batch.
+		s.execute(s.pool.Load(), nil, batch)
+	}()
 }
 
 // drainBatcher runs after shutdown begins: flush whatever is already queued
@@ -205,36 +221,38 @@ func (s *Server) drainBatcher() {
 	}
 }
 
-// executeBatch runs one batch through the pipeline, retrying unanswered
-// members on a fresh replica when one faults — the batched analogue of
-// handleBrief's retry loop, with the same per-request retry budget.
-func (s *Server) executeBatch(items []*batchItem) {
-	defer s.batchWG.Done()
+// execute runs items through the pipeline, retrying unanswered members on
+// a fresh replica when one faults, within the per-request retry budget. rep
+// is the replica the caller already checked out of pool (the inline path),
+// or nil to check one out for the lead live member (the scheduler). Members
+// whose context expires before a run get no result; their handlers answer
+// from ctx.Done, exactly like a queue-expiry 504.
+func (s *Server) execute(pool *Pool, rep Replica, items []*batchItem) {
 	m := s.metrics
-	// One pool snapshot per batch: every checkout, retry and Put in this
-	// execution targets a single model generation even if a hot reload swaps
-	// the live pointer mid-batch.
-	pool := s.pool.Load()
-	pending := items
-	attempt := 0
-	for {
+	m.InFlight.Add(int64(len(items)))
+	defer m.InFlight.Add(-int64(len(items)))
+	for attempt := 0; ; {
 		var live []*batchItem
-		for _, it := range pending {
+		for _, it := range items {
 			if it.ctx.Err() == nil {
 				live = append(live, it)
 			}
-			// Expired items get no result; their handlers answer from
-			// ctx.Done, matching the serial path's queue-expiry 504.
 		}
 		if len(live) == 0 {
+			if rep != nil {
+				pool.Put(rep)
+			}
 			return
 		}
-		rep, err := pool.Get(live[0].ctx)
-		if err != nil {
-			// The lead item's context died waiting for a replica; drop it
-			// and keep trying for the rest.
-			pending = live[1:]
-			continue
+		if rep == nil {
+			r, err := pool.Get(live[0].ctx)
+			if err != nil {
+				// The lead item's context died waiting for a replica; drop
+				// it and keep trying for the rest.
+				items = live[1:]
+				continue
+			}
+			rep = r
 		}
 		now := time.Now()
 		for _, it := range live {
@@ -242,14 +260,12 @@ func (s *Server) executeBatch(items []*batchItem) {
 				it.queueWait, it.waitSet = now.Sub(it.enqueued), true
 			}
 		}
-		m.InFlight.Add(int64(len(live)))
-		ok := s.runBatchOn(pool, rep, live)
-		m.InFlight.Add(-int64(len(live)))
-		if ok {
+		if s.runOn(pool, rep, live) {
 			return
 		}
-		// The replica faulted mid-batch and is already ejected (runStage);
-		// members answered before the fault keep their responses.
+		// The replica faulted and is already ejected (runStage); members
+		// answered before the fault keep their responses.
+		rep = nil
 		var rem []*batchItem
 		for _, it := range live {
 			if !it.answered {
@@ -267,19 +283,18 @@ func (s *Server) executeBatch(items []*batchItem) {
 		}
 		attempt++
 		m.Retries.Add(int64(len(rem)))
-		pending = rem
+		items = rem
 	}
 }
 
-// runBatchOn briefs a batch on one replica: parse each member, then one
-// batched encode and one batched decode when the replica supports it (per
-// member otherwise, e.g. under a fault-injection wrapper or for a batch of
-// one, where the per-request path is already exact). Stage latencies are
-// observed once per member — each request did wait the whole stage — so
-// per-request latency semantics match the serial path; stage sums are
-// wall-clock waits, not CPU time. Reports false when the replica faulted
-// (it is already ejected and must not be Put back).
-func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
+// runOn briefs items on one checked-out replica: parse each member, settle
+// the ones that cannot go on, then one Brief call for the rest. The
+// deadline is checked after parse and after the briefing. Stage latencies
+// are observed once per member — each request did wait the whole stage —
+// so stage sums are wall-clock waits, not CPU time; a faulted stage
+// observes nothing. Reports false when the replica faulted (it is already
+// ejected and must not be Put back).
+func (s *Server) runOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	m := s.metrics
 
 	insts := make([]*wb.Instance, len(items))
@@ -295,8 +310,8 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 	parseDur := time.Since(t0)
 
 	// Settle every member's fate after parse: unparseable pages answer 422,
-	// members whose deadline expired during the window answer their ctx
-	// error, and the rest go on to the fused forward.
+	// members whose deadline expired meanwhile answer their ctx error, and
+	// the rest go on to the briefing.
 	var liveItems []*batchItem
 	var liveInsts []*wb.Instance
 	for i, it := range items {
@@ -317,53 +332,37 @@ func (s *Server) runBatchOn(pool *Pool, rep Replica, items []*batchItem) bool {
 		return true
 	}
 
-	br, batched := rep.(BatchReplica)
-	batched = batched && len(liveItems) > 1
-	briefs := make([]*wb.Brief, len(liveItems))
-	t1 := time.Now()
-	var ok bool
-	if batched {
-		ok = s.runStage(pool, rep, func() { briefs = br.EncodeBatch(liveInsts) })
-	} else {
-		ok = s.runStage(pool, rep, func() {
-			for i, inst := range liveInsts {
-				briefs[i] = rep.Encode(inst)
-			}
-		})
-	}
-	if !ok {
+	var res wb.Briefing
+	if !s.runStage(pool, rep, func() { res = rep.Brief(liveInsts) }) {
 		return false
 	}
-	encodeDur := time.Since(t1)
-
-	// No member drops between encode and decode: EncodeBatch retained
-	// per-instance state aligned to liveInsts that DecodeBatch consumes.
-	// Deadlines are re-checked per member after decode instead.
-	t2 := time.Now()
-	if batched {
-		ok = s.runStage(pool, rep, func() { br.DecodeBatch(liveInsts, briefs) })
-	} else {
-		ok = s.runStage(pool, rep, func() {
-			for i, inst := range liveInsts {
-				rep.Decode(inst, briefs[i])
-			}
-		})
-	}
-	if !ok {
-		return false
-	}
-	decodeDur := time.Since(t2)
-	s.observeCascade(rep)
-
 	for i, it := range liveItems {
-		m.Encode.Observe(encodeDur)
-		m.Decode.Observe(decodeDur)
+		m.Encode.Observe(res.Encode)
+		m.Decode.Observe(res.Decode)
+		if res.Cascade != nil {
+			s.observeCascade(res.Cascade[i])
+		}
 		if err := it.ctx.Err(); err != nil {
 			it.deliver(pipelineOutcome{ctxErr: err})
 			continue
 		}
-		it.deliver(pipelineOutcome{brief: briefs[i]})
+		it.deliver(pipelineOutcome{brief: res.Briefs[i]})
 	}
 	pool.Put(rep)
 	return true
+}
+
+// observeCascade folds one briefing's cascade decision into the tier
+// counters and histograms. Called only after a clean Brief: a faulted
+// briefing never counts toward either tier.
+func (s *Server) observeCascade(d wb.CascadeDecision) {
+	m := s.metrics
+	m.CascadeRequests.Add(1)
+	m.StudentLatency.Observe(d.Student)
+	if d.Escalated {
+		m.CascadeTeacher.Add(1)
+		m.TeacherLatency.Observe(d.Teacher)
+	} else {
+		m.CascadeStudent.Add(1)
+	}
 }

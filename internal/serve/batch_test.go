@@ -116,7 +116,7 @@ func TestBatchedWireEquivalence(t *testing.T) {
 	}
 }
 
-// blockingReplica parks every Encode until released, so a test can hold the
+// blockingReplica parks every briefing until released, so a test can hold the
 // pool's only replica while later requests queue behind it.
 type blockingReplica struct {
 	started chan struct{}
@@ -128,12 +128,13 @@ func newBlockingReplica() *blockingReplica {
 }
 
 func (r *blockingReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *blockingReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.started <- struct{}{}
-	<-r.release
-	return &wb.Brief{Topic: []string{"ok"}}
+func (r *blockingReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.started <- struct{}{}
+		<-r.release
+		return &wb.Brief{Topic: []string{"ok"}}
+	})
 }
-func (r *blockingReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
 // TestBatchedDeadlineMidWindow: a request whose deadline expires while it
 // waits in the batching window (and then for a replica) is dropped — its
@@ -164,7 +165,7 @@ func TestBatchedDeadlineMidWindow(t *testing.T) {
 		}
 		holdDone <- err
 	}()
-	<-rep.started // the holder's batch has the replica and is parked in Encode
+	<-rep.started // the holder's batch has the replica and is parked in Brief
 
 	// Now two requests coalesce into the next batch: one with a deadline
 	// that expires before the replica frees up, one patient.
@@ -332,7 +333,7 @@ func TestBatchedOverloadAndDraining(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// First request: batch of one, checks out the replica, parks in Encode.
+	// First request: batch of one, checks out the replica, parks in Brief.
 	first := make(chan int, 1)
 	go func() {
 		status, _, err := postBrief(ts.URL, "<p>a</p>")

@@ -131,7 +131,7 @@ func TestCacheHitMissByteIdentical(t *testing.T) {
 	}
 }
 
-// herdReplica counts Encode calls and blocks each until released — the
+// herdReplica counts briefings and blocks each until released — the
 // counting stub that proves a thundering herd checks out one replica.
 type herdReplica struct {
 	encodes atomic.Int64
@@ -144,18 +144,19 @@ func newHerdReplica() *herdReplica {
 }
 
 func (r *herdReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *herdReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.encodes.Add(1)
-	r.started <- struct{}{}
-	<-r.release
-	return &wb.Brief{Topic: []string{"herd"}}
+func (r *herdReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.encodes.Add(1)
+		r.started <- struct{}{}
+		<-r.release
+		return &wb.Brief{Topic: []string{"herd"}}
+	})
 }
-func (r *herdReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
 // TestCacheThunderingHerd: N concurrent posts of one cold page coalesce
-// into a single replica computation. The winner blocks mid-Encode while
+// into a single replica computation. The winner blocks mid-Brief while
 // every loser registers as coalesced; on release all N receive identical
-// 200 bodies from exactly one Encode, and a subsequent post is a pure hit
+// 200 bodies from exactly one briefing, and a subsequent post is a pure hit
 // that still checks out no replica.
 func TestCacheThunderingHerd(t *testing.T) {
 	stub := newHerdReplica()
@@ -178,7 +179,7 @@ func TestCacheThunderingHerd(t *testing.T) {
 		}()
 	}
 
-	// The winner is wedged in Encode; every other member must be counted
+	// The winner is wedged in Brief; every other member must be counted
 	// as coalesced before we let the computation finish.
 	<-stub.started
 	ms := srv.Metrics()
@@ -217,7 +218,7 @@ func TestCacheThunderingHerd(t *testing.T) {
 	}
 }
 
-// herdPanicReplica blocks Encode until released, then panics — the failing
+// herdPanicReplica blocks Brief until released, then panics — the failing
 // winner of the coalesced-failure test.
 type herdPanicReplica struct {
 	started chan struct{}
@@ -225,12 +226,13 @@ type herdPanicReplica struct {
 }
 
 func (r *herdPanicReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *herdPanicReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.started <- struct{}{}
-	<-r.release
-	panic("cache: injected winner failure")
+func (r *herdPanicReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.started <- struct{}{}
+		<-r.release
+		panic("cache: injected winner failure")
+	})
 }
-func (r *herdPanicReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
 // TestCacheCoalescedFailureReplay: when the flight winner's computation
 // fails terminally, the losers replay the same 500 (collapse forwarding)

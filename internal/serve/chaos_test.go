@@ -17,10 +17,14 @@ import (
 type okReplica struct{ briefs atomic.Int64 }
 
 func (r *okReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *okReplica) Encode(inst *wb.Instance) *wb.Brief      { return &wb.Brief{Topic: []string{"ok"}} }
-func (r *okReplica) Decode(inst *wb.Instance, b *wb.Brief)   { r.briefs.Add(1) }
+func (r *okReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.briefs.Add(1)
+		return &wb.Brief{Topic: []string{"ok"}}
+	})
+}
 
-// panicNReplica panics during its first n Encodes, then behaves.
+// panicNReplica panics while briefing its first n instances, then behaves.
 type panicNReplica struct {
 	mu      sync.Mutex
 	panics  int
@@ -28,22 +32,23 @@ type panicNReplica struct {
 }
 
 func (r *panicNReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *panicNReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.mu.Lock()
-	r.encodes++
-	p := r.panics > 0
-	if p {
-		r.panics--
-	}
-	r.mu.Unlock()
-	if p {
-		panic("chaos: injected encode panic")
-	}
-	return &wb.Brief{Topic: []string{"ok"}}
+func (r *panicNReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.mu.Lock()
+		r.encodes++
+		p := r.panics > 0
+		if p {
+			r.panics--
+		}
+		r.mu.Unlock()
+		if p {
+			panic("chaos: injected encode panic")
+		}
+		return &wb.Brief{Topic: []string{"ok"}}
+	})
 }
-func (r *panicNReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
-// wedgeOnceReplica blocks its first Encode until released, then behaves.
+// wedgeOnceReplica blocks its first briefing until released, then behaves.
 type wedgeOnceReplica struct {
 	once    sync.Once
 	started chan struct{}
@@ -55,16 +60,17 @@ func newWedgeOnceReplica() *wedgeOnceReplica {
 }
 
 func (r *wedgeOnceReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *wedgeOnceReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.once.Do(func() {
-		r.started <- struct{}{}
-		<-r.release
+func (r *wedgeOnceReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.once.Do(func() {
+			r.started <- struct{}{}
+			<-r.release
+		})
+		return &wb.Brief{Topic: []string{"ok"}}
 	})
-	return &wb.Brief{Topic: []string{"ok"}}
 }
-func (r *wedgeOnceReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
-// TestChaosPanicEjectRetryReadmit: a replica that panics mid-Encode is
+// TestChaosPanicEjectRetryReadmit: a replica that panics mid-Brief is
 // ejected and the request transparently retries on a healthy replica; the
 // ejected replica is probed and readmitted once it briefs cleanly, closing
 // the breaker and restoring full capacity.
@@ -181,7 +187,7 @@ func TestChaosStallWatchdogEjects(t *testing.T) {
 	}
 }
 
-// wedgePanicReplica blocks Encode until released, then panics — the
+// wedgePanicReplica blocks Brief until released, then panics — the
 // mid-drain failure mode of the shutdown chaos test.
 type wedgePanicReplica struct {
 	started chan struct{}
@@ -193,12 +199,13 @@ func newWedgePanicReplica() *wedgePanicReplica {
 }
 
 func (r *wedgePanicReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *wedgePanicReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.started <- struct{}{}
-	<-r.release
-	panic("chaos: replica panic mid-drain")
+func (r *wedgePanicReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.started <- struct{}{}
+		<-r.release
+		panic("chaos: replica panic mid-drain")
+	})
 }
-func (r *wedgePanicReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
 // TestChaosShutdownDrainWithPanics is the shutdown-race chaos test: two
 // requests are in flight and one is queued when shutdown begins; both

@@ -32,8 +32,8 @@ func recoverPanic(fn func()) (panicked any) {
 	return nil
 }
 
-// runStage runs one pipeline stage on rep, absorbing the two replica
-// pathologies the chaos suite injects:
+// runStage runs one pipeline stage (parse or brief) on rep, absorbing the
+// two replica pathologies the chaos suite injects:
 //
 //   - a panic is recovered, counted, and ejects the replica;
 //   - with Config.StallTimeout set, a stage that exceeds it is declared
@@ -119,7 +119,7 @@ func (s *Server) probeLoop(pool *Pool, rep Replica) {
 	}
 }
 
-// probeOnce runs the full three-stage pipeline on the probe page,
+// probeOnce runs the full pipeline on the probe page, a batch of one,
 // reporting false on a parse error or panic.
 func (s *Server) probeOnce(rep Replica) (ok bool) {
 	defer func() {
@@ -131,68 +131,6 @@ func (s *Server) probeOnce(rep Replica) (ok bool) {
 	if err != nil {
 		return false
 	}
-	rep.Decode(inst, rep.Encode(inst))
+	rep.Brief([]*wb.Instance{inst})
 	return true
-}
-
-// briefOn runs the three pipeline stages on rep with per-stage timing and
-// deadline checks between stages. Stage latencies are observed for stages
-// that complete; a faulted stage observes nothing (its duration is the
-// fault's, not the pipeline's).
-func (s *Server) briefOn(ctxErr func() error, pool *Pool, rep Replica, body []byte) pipelineOutcome {
-	m := s.metrics
-
-	var inst *wb.Instance
-	var perr error
-	t0 := time.Now()
-	if !s.runStage(pool, rep, func() { inst, perr = rep.Parse(string(body)) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Parse.Observe(time.Since(t0))
-	if perr != nil {
-		return pipelineOutcome{unbriefable: perr}
-	}
-	if err := ctxErr(); err != nil {
-		return pipelineOutcome{ctxErr: err}
-	}
-
-	var brief *wb.Brief
-	t1 := time.Now()
-	if !s.runStage(pool, rep, func() { brief = rep.Encode(inst) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Encode.Observe(time.Since(t1))
-	if err := ctxErr(); err != nil {
-		return pipelineOutcome{ctxErr: err}
-	}
-
-	t2 := time.Now()
-	if !s.runStage(pool, rep, func() { rep.Decode(inst, brief) }) {
-		return pipelineOutcome{faulted: true}
-	}
-	m.Decode.Observe(time.Since(t2))
-	s.observeCascade(rep)
-	return pipelineOutcome{brief: brief}
-}
-
-// observeCascade folds the replica's per-briefing cascade decisions into
-// the tier counters and histograms. Replicas without the cascade capability
-// (teacher-only pools, fault wrappers) report nothing. Called only after a
-// clean decode stage: a faulted briefing never counts toward either tier.
-func (s *Server) observeCascade(rep Replica) {
-	cr, ok := rep.(cascadeReporter)
-	if !ok {
-		return
-	}
-	m := s.metrics
-	for _, d := range cr.CascadeReport() {
-		m.CascadeRequests.Add(1)
-		m.StudentLatency.Observe(d.student)
-		if d.escalated {
-			m.CascadeTeacher.Add(1)
-			m.TeacherLatency.Observe(d.teacher)
-		} else {
-			m.CascadeStudent.Add(1)
-		}
-	}
 }

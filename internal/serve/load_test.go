@@ -21,11 +21,12 @@ import (
 type slowReplica struct{ delay time.Duration }
 
 func (r *slowReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *slowReplica) Encode(inst *wb.Instance) *wb.Brief {
-	time.Sleep(r.delay)
-	return &wb.Brief{Topic: []string{"soak"}}
+func (r *slowReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		time.Sleep(r.delay)
+		return &wb.Brief{Topic: []string{"soak"}}
+	})
 }
-func (r *slowReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
 
 // TestServeLoadSoak hammers a deliberately under-provisioned server (one
 // slow replica, a 2-deep queue) with far more concurrency than it can

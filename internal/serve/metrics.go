@@ -192,7 +192,7 @@ type Metrics struct {
 	Draining       atomic.Int64 // 503: received during shutdown
 	ReplicaFailure atomic.Int64 // 500: replica panicked/stalled and the retry budget ran out
 
-	InFlight atomic.Int64 // requests holding (or briefing on) a replica
+	InFlight atomic.Int64 // requests owned by the briefing runner (on, or awaiting, a replica)
 	Queued   atomic.Int64 // requests waiting for a replica
 
 	// Resilience counters: every recovered replica panic and detected
@@ -205,8 +205,8 @@ type Metrics struct {
 
 	QueueWait histogram // time from admission to replica checkout
 	Parse     histogram // HTML → instance
-	Encode    histogram // eval forward → attributes + sections
-	Decode    histogram // beam-search topic generation
+	Encode    histogram // the one eval forward plus the extractor/section tail
+	Decode    histogram // beam search on that forward, plus any cascade escalation
 	Total     histogram // handler entry → response written
 
 	// Batching counters, populated only when Config.BatchWindow > 0. They

@@ -39,81 +39,44 @@ func WarmupHTML(n int) string {
 }
 
 // Replica is one independently-forwardable briefing engine, checked out of
-// a Pool for the duration of a request. The three methods are the stages of
-// the briefing pipeline, split so the serving layer can time each one and
-// check the request deadline between them:
+// a Pool for the duration of a request or micro-batch. It has two stages,
+// and the serving layer times each one and checks every member's deadline
+// after each:
 //
-//	Parse:  raw HTML → model instance (DOM parse, visible text, encoding)
-//	Encode: eval forward pass → attributes + section flags
-//	Decode: beam-search topic generation
+//	Parse: raw HTML → model instance (DOM parse, visible text, encoding)
+//	Brief: one eval forward over the whole batch → attributes, section
+//	       flags and beam-searched topic per instance (plus any cascade
+//	       escalation), with the encode/decode split timed inside
+//
+// A single request is a batch of one. Brief keeps no state between calls.
 type Replica interface {
 	Parse(html string) (*wb.Instance, error)
-	Encode(inst *wb.Instance) *wb.Brief
-	Decode(inst *wb.Instance, b *wb.Brief)
-}
-
-// BatchReplica is the optional batched capability of a Replica: encode and
-// decode a whole micro-batch in fused B-row forward passes. EncodeBatch
-// retains per-instance state on the replica that the matching DecodeBatch
-// call consumes, so the two must be called back to back with the same
-// instances, under the same exclusive checkout. The batch executor falls
-// back to the per-request methods when a replica (e.g. a fault-injection
-// wrapper) does not implement this.
-type BatchReplica interface {
-	Replica
-	EncodeBatch(insts []*wb.Instance) []*wb.Brief
-	DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief)
-}
-
-// cascadeDecision records how one briefing moved through the confidence
-// cascade on a replica: the student tier's wall time, whether the decode
-// escalated, and the teacher tier's wall time when it did.
-type cascadeDecision struct {
-	escalated bool
-	student   time.Duration
-	teacher   time.Duration
-}
-
-// cascadeReporter is the optional cascade observability capability of a
-// Replica: after a Decode or DecodeBatch completes, the server reads one
-// decision per briefing for the tier counters and per-tier histograms. The
-// report is only valid until the replica's next Encode, under the same
-// exclusive checkout — the same lifetime contract as BatchReplica's
-// retained encode state. Wrappers that do not forward it (e.g. the fault
-// injector) simply leave the cascade unreported, never miscounted.
-type cascadeReporter interface {
-	CascadeReport() []cascadeDecision
+	Brief(insts []*wb.Instance) wb.Briefing
 }
 
 // modelReplica adapts one Joint-WB model (the original or a
 // wb.CloneForServing copy) to the Replica interface. The vocabulary is
 // shared across all replicas: it is read-only after construction. Each
-// replica owns its inference workspace — a replica serves one request at a
-// time (Pool checkout is exclusive), so the scratch is never shared between
-// concurrent requests.
+// replica owns its batched inference workspace — a replica serves one
+// checkout at a time (Pool checkout is exclusive), so the scratch is never
+// shared between concurrent requests.
 //
 // With a student attached (NewCascadePool), the replica runs the
-// confidence-gated cascade: Encode and Decode execute on the float32
-// student first, and a decode whose confidence score falls below threshold
-// re-briefs the page on the float64 teacher under the same checkout. The
-// student weights are read-only at inference, so one *wb.JointWB32 is
-// shared by every replica; the float32 scratches are per-replica like the
-// float64 ones.
+// confidence-gated cascade: Brief runs on the float32 student first, and
+// members whose decode confidence score falls below threshold re-brief on
+// the float64 teacher under the same checkout. The student weights are
+// read-only at inference, so one *wb.JointWB32 is shared by every replica;
+// the float32 scratch is per-replica like the float64 one.
 type modelReplica struct {
 	model     wb.Model
 	vocab     *textproc.Vocab
 	beam      int
 	maxTokens int
-	scratch   *wb.InferScratch
 	batch     *wb.BatchScratch
-	outs      []*wb.Output // encode-stage outputs awaiting DecodeBatch
 
 	student   *wb.JointWB32 // float32 fast path, nil = teacher-only replica
 	threshold float64       // escalate when confidence score < threshold
-	sscratch  *wb.InferScratch32
 	sbatch    *wb.BatchScratch32
-	souts     []*wb.Output32    // student encode outputs awaiting DecodeBatch
-	decisions []cascadeDecision // per-briefing cascade report, reset at Encode
 }
 
 // Parse implements Replica.
@@ -125,130 +88,56 @@ func (r *modelReplica) Parse(html string) (*wb.Instance, error) {
 	return inst, nil
 }
 
-// Encode implements Replica. On a cascade replica the float32 student runs
-// the forward; the teacher executes only if Decode later escalates.
-func (r *modelReplica) Encode(inst *wb.Instance) *wb.Brief {
+// Brief implements Replica: one Eval forward for the whole batch (fused
+// B-row when it has two or more members), whose outputs feed both the
+// extractive tail and the beam search. On a cascade replica the student
+// briefs first and the low-confidence members re-brief once on the teacher
+// through the same batched call: an escalation replaces the whole brief
+// (extraction and topic), so every answer a client sees came entirely from
+// one tier.
+func (r *modelReplica) Brief(insts []*wb.Instance) wb.Briefing {
 	if r.student == nil {
-		return wb.ExtractBriefWith(r.model, inst, r.vocab, r.scratch)
-	}
-	t0 := time.Now()
-	b := wb.ExtractBriefWith32(r.student, inst, r.vocab, r.sscratch)
-	r.decisions = append(r.decisions[:0], cascadeDecision{student: time.Since(t0)})
-	return b
-}
-
-// Decode implements Replica. On a cascade replica the student decodes first
-// and the confidence gate decides whether the teacher re-briefs the page:
-// an escalation replaces the whole brief (extraction and topic), so every
-// answer a client sees came entirely from one tier.
-func (r *modelReplica) Decode(inst *wb.Instance, b *wb.Brief) {
-	if r.student == nil {
-		b.Topic = wb.DecodeTopicWith(r.model, inst, r.vocab, r.beam, r.scratch)
-		return
-	}
-	if len(r.decisions) == 0 { // Decode without Encode (not a server path)
-		r.decisions = append(r.decisions, cascadeDecision{})
-	}
-	d := &r.decisions[0]
-	t0 := time.Now()
-	topic, conf := wb.DecodeTopicWith32(r.student, inst, r.vocab, r.beam, r.sscratch)
-	d.student += time.Since(t0)
-	if conf.Score() >= r.threshold {
-		b.Topic = topic
-		return
-	}
-	t1 := time.Now()
-	*b = *r.teacherBrief(inst)
-	d.escalated = true
-	d.teacher = time.Since(t1)
-}
-
-// teacherBrief runs the full float64 pipeline on the replica's teacher —
-// the cascade's escalation target, and what Warm uses to grow the teacher
-// scratch on a cascade replica.
-func (r *modelReplica) teacherBrief(inst *wb.Instance) *wb.Brief {
-	b := wb.ExtractBriefWith(r.model, inst, r.vocab, r.scratch)
-	b.Topic = wb.DecodeTopicWith(r.model, inst, r.vocab, r.beam, r.scratch)
-	return b
-}
-
-// teacherBriefBatch re-briefs escalated members on the float64 teacher:
-// fused batched forwards when more than one escalated, serial otherwise.
-func (r *modelReplica) teacherBriefBatch(insts []*wb.Instance) []*wb.Brief {
-	if len(insts) == 1 {
-		return []*wb.Brief{r.teacherBrief(insts[0])}
-	}
-	briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.batch)
-	wb.DecodeTopicBatch(r.model, insts, outs, r.vocab, r.beam, r.batch, briefs)
-	return briefs
-}
-
-// EncodeBatch implements BatchReplica: one fused Eval forward for the whole
-// micro-batch (on the student when the cascade is on). The forward outputs
-// stay live on the batch tape for the DecodeBatch call that must follow.
-func (r *modelReplica) EncodeBatch(insts []*wb.Instance) []*wb.Brief {
-	if r.student == nil {
-		briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.batch)
-		r.outs = outs
-		return briefs
+		return r.teacherBrief(insts)
 	}
 	t0 := time.Now()
 	briefs, outs := wb.ExtractBriefBatch32(r.student, insts, r.vocab, r.sbatch)
-	r.souts = outs
-	dur := time.Since(t0)
-	r.decisions = r.decisions[:0]
-	for range insts {
-		// Every member waited the whole fused stage — the same per-request
-		// semantics as the serve layer's stage histograms.
-		r.decisions = append(r.decisions, cascadeDecision{student: dur})
-	}
-	return briefs
-}
-
-// DecodeBatch implements BatchReplica: one batched beam search over the
-// encode outputs EncodeBatch retained. On a cascade replica the
-// low-confidence subset then re-briefs on the teacher, batched when more
-// than one member escalates.
-func (r *modelReplica) DecodeBatch(insts []*wb.Instance, briefs []*wb.Brief) {
-	if r.student == nil {
-		wb.DecodeTopicBatch(r.model, insts, r.outs, r.vocab, r.beam, r.batch, briefs)
-		r.outs = nil
-		return
-	}
-	t0 := time.Now()
-	confs := wb.DecodeTopicBatch32(r.student, insts, r.souts, r.vocab, r.beam, r.sbatch, briefs)
-	r.souts = nil
-	sdur := time.Since(t0)
-	var escIdx []int
-	for i := range insts {
-		r.decisions[i].student += sdur
-		if confs[i].Score() < r.threshold {
-			escIdx = append(escIdx, i)
+	t1 := time.Now()
+	confs := wb.DecodeTopicBatch32(r.student, insts, outs, r.vocab, r.beam, r.sbatch, briefs)
+	res := wb.Briefing{Briefs: briefs, Encode: t1.Sub(t0), Cascade: make([]wb.CascadeDecision, len(insts))}
+	student := time.Since(t0)
+	var esc []int
+	for i, c := range confs {
+		res.Cascade[i].Student = student
+		if c.Score() < r.threshold {
+			esc = append(esc, i)
 		}
 	}
-	if len(escIdx) == 0 {
-		return
+	if len(esc) > 0 {
+		escInsts := make([]*wb.Instance, len(esc))
+		for j, i := range esc {
+			escInsts[j] = insts[i]
+		}
+		t2 := time.Now()
+		teacher := r.teacherBrief(escInsts).Briefs
+		tdur := time.Since(t2)
+		for j, i := range esc {
+			briefs[i] = teacher[j]
+			res.Cascade[i].Escalated = true
+			res.Cascade[i].Teacher = tdur
+		}
 	}
-	escInsts := make([]*wb.Instance, len(escIdx))
-	for j, i := range escIdx {
-		escInsts[j] = insts[i]
-	}
-	t1 := time.Now()
-	tbriefs := r.teacherBriefBatch(escInsts)
-	tdur := time.Since(t1)
-	for j, i := range escIdx {
-		*briefs[i] = *tbriefs[j]
-		r.decisions[i].escalated = true
-		r.decisions[i].teacher = tdur
-	}
+	res.Decode = time.Since(t1)
+	return res
 }
 
-// CascadeReport implements cascadeReporter.
-func (r *modelReplica) CascadeReport() []cascadeDecision {
-	if r.student == nil {
-		return nil
-	}
-	return r.decisions
+// teacherBrief briefs insts on the float64 teacher: the whole pipeline of
+// a teacher-only replica, and a cascade replica's escalation target.
+func (r *modelReplica) teacherBrief(insts []*wb.Instance) wb.Briefing {
+	t0 := time.Now()
+	briefs, outs := wb.ExtractBriefBatch(r.model, insts, r.vocab, r.batch)
+	t1 := time.Now()
+	wb.DecodeTopicBatch(r.model, insts, outs, r.vocab, r.beam, r.batch, briefs)
+	return wb.Briefing{Briefs: briefs, Encode: t1.Sub(t0), Decode: time.Since(t1)}
 }
 
 // BreakerState is the health state of one replica, circuit-breaker style.
@@ -331,7 +220,6 @@ func NewCascadePool(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int, th
 	for i, r := range reps {
 		r.student = student
 		r.threshold = threshold
-		r.sscratch = wb.NewInferScratch32For(v, beam)
 		r.sbatch = wb.NewBatchScratch32For(v, beam, 0)
 		replicas[i] = r
 	}
@@ -347,8 +235,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 	replicas := make([]*modelReplica, n)
 	replicas[0] = &modelReplica{
 		model: m, vocab: v, beam: beam, maxTokens: maxTokens,
-		scratch: wb.NewInferScratchFor(v, beam),
-		batch:   wb.NewBatchScratchFor(v, beam, 0),
+		batch: wb.NewBatchScratchFor(v, beam, 0),
 	}
 	if n > 1 {
 		clones, err := wb.CloneManyForServing(m, v, n-1)
@@ -358,8 +245,7 @@ func newModelReplicas(m *wb.JointWB, v *textproc.Vocab, n, beam, maxTokens int) 
 		for i, c := range clones {
 			replicas[i+1] = &modelReplica{
 				model: c, vocab: v, beam: beam, maxTokens: maxTokens,
-				scratch: wb.NewInferScratchFor(v, beam),
-				batch:   wb.NewBatchScratchFor(v, beam, 0),
+				batch: wb.NewBatchScratchFor(v, beam, 0),
 			}
 		}
 	}
@@ -382,58 +268,19 @@ func PoolOf(replicas ...Replica) *Pool {
 	return p
 }
 
-// Warm briefs html twice on every replica so each scratch workspace grows
-// its arena, pack and beam buffers to steady state before real traffic
-// arrives; the first request per replica then runs the same allocation-free
-// path as every later one. Two passes because first-use growth (arena
-// blocks, pack panels, beam pools) happens during the first brief — the
-// second proves the workspace has stopped growing for this page shape. Warm
-// with a max-shape page (see WarmupHTML) so one-time growth never shows up
-// in per-request numbers. Call it before serving starts: it requires a
-// fully idle pool and checks all replicas out while it runs.
-func (p *Pool) Warm(html string) error {
-	return p.warmAll(html, func(r Replica, inst *wb.Instance) {
-		r.Decode(inst, r.Encode(inst))
-		r.Decode(inst, r.Encode(inst))
-		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
-			// The passes above grew the student tier; the escalation
-			// target must not hit a cold teacher scratch either.
-			mr.teacherBrief(inst)
-			mr.teacherBrief(inst)
-		}
-	})
-}
-
-// WarmBatch pre-grows each replica's batched workspace by briefing size
-// copies of html as one micro-batch, twice, on every replica that supports
-// batching (others are skipped). Same idle-pool contract as Warm.
-func (p *Pool) WarmBatch(html string, size int) error {
-	if size < 1 {
-		size = 1
-	}
-	return p.warmAll(html, func(r Replica, inst *wb.Instance) {
-		br, ok := r.(BatchReplica)
-		if !ok {
-			return
-		}
-		insts := make([]*wb.Instance, size)
-		for i := range insts {
-			insts[i] = inst
-		}
-		br.DecodeBatch(insts, br.EncodeBatch(insts))
-		br.DecodeBatch(insts, br.EncodeBatch(insts))
-		if mr, ok := r.(*modelReplica); ok && mr.student != nil {
-			// Batched escalations run the teacher's batched path; grow its
-			// workspace at full width too.
-			mr.teacherBriefBatch(insts)
-			mr.teacherBriefBatch(insts)
-		}
-	})
-}
-
-// warmAll checks every replica out of an idle pool, parses html on it and
-// runs fn, returning all replicas afterwards.
-func (p *Pool) warmAll(html string, fn func(Replica, *wb.Instance)) error {
+// Warm briefs width copies of html as one batch, twice, on every replica
+// so each scratch workspace grows its arena, pack and beam buffers to
+// steady state before real traffic arrives; the first request per replica
+// then runs the same allocation-free path as every later one. Two passes
+// because first-use growth (arena blocks, pack panels, beam pools) happens
+// during the first brief — the second proves the workspace has stopped
+// growing for this page shape. On a cascade replica the teacher is warmed
+// at the same width too, so an escalation never hits a cold scratch. Warm
+// with a max-shape page (see WarmupHTML) and the widest batch the server
+// forms, so one-time growth never shows up in per-request numbers. Call it
+// before serving starts: it requires a fully idle pool and checks all
+// replicas out while it runs.
+func (p *Pool) Warm(html string, width int) error {
 	if p.Idle() != p.size {
 		return fmt.Errorf("serve: Warm needs an idle pool (%d of %d idle)", p.Idle(), p.size)
 	}
@@ -453,7 +300,16 @@ func (p *Pool) warmAll(html string, fn func(Replica, *wb.Instance)) error {
 		if err != nil {
 			return fmt.Errorf("serve: warmup page: %w", err)
 		}
-		fn(r, inst)
+		insts := make([]*wb.Instance, max(width, 1))
+		for j := range insts {
+			insts[j] = inst
+		}
+		for pass := 0; pass < 2; pass++ {
+			r.Brief(insts)
+			if mr, ok := r.(*modelReplica); ok && mr.student != nil {
+				mr.teacherBrief(insts)
+			}
+		}
 	}
 	return nil
 }

@@ -11,9 +11,9 @@ import (
 
 // This file is the zero-downtime hot model reload path: build a complete
 // shadow pool from a freshly loaded bundle, warm it off-path exactly like a
-// cold boot (Pool.Warm / Pool.WarmBatch grow every scratch workspace to
-// steady state), then atomically swap it in under the live handler. No
-// request is ever dropped or torn across the swap:
+// cold boot (Pool.Warm grows every scratch workspace to steady state), then
+// atomically swap it in under the live handler. No request is ever dropped
+// or torn across the swap:
 //
 //   - a request snapshots the pool pointer once (at checkout for the serial
 //     path, per batch for the scheduler), so every retry and every stage of
@@ -74,7 +74,8 @@ func (s *Server) Reload(m *wb.JointWB, v *textproc.Vocab) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serve: reload: %w", err)
 	}
-	if err := s.warmPool(pool); err != nil {
+	//wbcheck:ignore lockhold -- the warm half of build+warm: its batched forwards wait on their worker goroutines, never on request-path locks
+	if err := s.warmPool(pool, WarmupHTML(0)); err != nil {
 		return 0, fmt.Errorf("serve: reload warm: %w", err)
 	}
 	return s.swapPool(pool)
@@ -120,20 +121,6 @@ func (s *Server) swapPool(p *Pool) (int64, error) {
 	// it. Probe loops for old-pool ejections readmit into the retired pool
 	// (harmless) and exit.
 	return gen, nil
-}
-
-// warmPool grows a shadow pool's workspaces to steady state before it goes
-// live — the same warmup a cold boot runs, so the first post-swap request
-// already rides the allocation-free path.
-func (s *Server) warmPool(p *Pool) error {
-	html := WarmupHTML(0)
-	if err := p.Warm(html); err != nil {
-		return err
-	}
-	if s.batchCh != nil {
-		return p.WarmBatch(html, s.cfg.BatchMax)
-	}
-	return nil
 }
 
 // handleReload is the admin reload endpoint: POST /admin/reload loads a

@@ -20,10 +20,10 @@ import (
 )
 
 // genReplica briefs successfully with a body that names its model
-// generation twice: Encode stamps the first copy, Decode the second. A
+// generation twice: once before its sleep, once after. A
 // response whose two stamps disagree — or that matches no known
 // generation's bytes — would prove a briefing tore across a hot reload.
-// The small decode sleep keeps briefings in flight long enough for swaps
+// The small sleep keeps briefings in flight long enough for swaps
 // to land mid-request.
 type genReplica struct {
 	gen   string
@@ -31,14 +31,15 @@ type genReplica struct {
 }
 
 func (r *genReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
-func (r *genReplica) Encode(inst *wb.Instance) *wb.Brief {
-	return &wb.Brief{Topic: []string{r.gen}}
-}
-func (r *genReplica) Decode(inst *wb.Instance, b *wb.Brief) {
-	if r.delay > 0 {
-		time.Sleep(r.delay)
-	}
-	b.Topic = append(b.Topic, r.gen)
+func (r *genReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		b := &wb.Brief{Topic: []string{r.gen}}
+		if r.delay > 0 {
+			time.Sleep(r.delay)
+		}
+		b.Topic = append(b.Topic, r.gen)
+		return b
+	})
 }
 
 // genBytes is the exact wire body a generation's briefing produces: the

@@ -53,9 +53,11 @@ type Config struct {
 	// ReplicaRetries is how many times a request whose replica panicked or
 	// stalled is re-run on another replica before 500 (0 = 1, <0 = none).
 	ReplicaRetries int
-	// StallTimeout is the per-stage watchdog: a stage exceeding it marks
-	// the replica wedged and ejects it (0 = disabled). Set it well above
-	// the slowest healthy stage.
+	// StallTimeout is the per-stage watchdog over the two replica stages,
+	// parse and brief: a stage exceeding it marks the replica wedged and
+	// ejects it (0 = disabled). Set it well above the slowest healthy
+	// stage — the brief stage covers the forward, beam search and any
+	// cascade escalation for a whole batch.
 	StallTimeout time.Duration
 	// ProbeInterval is the re-admission probe cadence for ejected
 	// replicas (0 = 25ms); ProbeSuccesses consecutive clean probe
@@ -68,9 +70,10 @@ type Config struct {
 	// BatchWindow enables cross-request micro-batching: an admitted request
 	// waits up to this long for batchmates before the fused forward runs,
 	// trading that bounded latency for B-row batched kernels. 0 disables
-	// batching — the exact per-request path. The window is deadline-aware: a
-	// batch fires early when any member's context deadline would otherwise
-	// expire waiting.
+	// batching: each request runs inline as a batch of one through the same
+	// runner, with no dispatcher hop. The window is deadline-aware: a batch
+	// fires early when any member's context deadline would otherwise expire
+	// waiting.
 	BatchWindow time.Duration
 	// BatchMax caps how many requests one micro-batch may coalesce (0 = 8).
 	BatchMax int
@@ -317,26 +320,28 @@ func (s *Server) batcherIdle() bool {
 }
 
 // Warm pre-grows every replica workspace to steady state before traffic
-// arrives — and, when batching is on, each batched workspace at BatchMax
-// width — so the first real request already runs the allocation-free path.
-// An empty html warms on the default synthetic page.
+// arrives — at BatchMax width when batching is on — so the first real
+// request already runs the allocation-free path. An empty html warms on the
+// default synthetic page.
 func (s *Server) Warm(html string) error {
 	if html == "" {
 		html = WarmupHTML(0)
 	}
-	pool := s.pool.Load()
-	if err := pool.Warm(html); err != nil {
-		return err
-	}
+	return s.warmPool(s.pool.Load(), html)
+}
+
+// warmPool warms p at the widest batch this server forms.
+func (s *Server) warmPool(p *Pool, html string) error {
+	width := 1
 	if s.batchCh != nil {
-		return pool.WarmBatch(html, s.cfg.BatchMax)
+		width = s.cfg.BatchMax
 	}
-	return nil
+	return p.Warm(html, width)
 }
 
 // handleBrief is the serving hot path: admission, replica checkout, the
-// three pipeline stages with per-stage timing and deadline checks, and the
-// JSON response.
+// parse and brief stages with per-stage timing and deadline checks, and
+// the JSON response.
 func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	m := s.metrics
@@ -408,8 +413,9 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 		defer fill.abandon()
 	}
 
+	it := &batchItem{ctx: ctx, body: body, enqueued: time.Now(), result: make(chan batchResult, 1)}
 	if s.batchCh != nil {
-		s.briefBatched(w, &lg, ctx, body, fill)
+		s.briefBatched(w, &lg, it, fill)
 		return
 	}
 
@@ -417,7 +423,6 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 	// bounded queue or shed with 429. The pool pointer is snapshotted once:
 	// checkout, retries and Put all target one generation, so a hot reload
 	// mid-request can never hand this briefing a mixed pool.
-	queueStart := time.Now()
 	pool := s.pool.Load()
 	rep, ok := pool.TryGet()
 	if !ok {
@@ -439,40 +444,18 @@ func (s *Server) handleBrief(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	wait := time.Since(queueStart)
-	m.QueueWait.Observe(wait)
-	lg.QueueMS = roundMS(wait)
 
-	m.InFlight.Add(1)
-	defer m.InFlight.Add(-1)
-
-	// Run the three pipeline stages, retrying on a fresh replica when the
-	// current one panics or stalls — a faulted replica is ejected by
-	// runStage and never Put back, so it degrades capacity without
-	// poisoning this or any later request.
-	var o pipelineOutcome
-	for attempt := 0; ; attempt++ {
-		o = s.briefOn(ctx.Err, pool, rep, body)
-		if !o.faulted {
-			pool.Put(rep)
-			break
-		}
-		if attempt >= s.cfg.ReplicaRetries {
-			break
-		}
-		m.Retries.Add(1)
-		rep, err = pool.Get(ctx)
-		if err != nil {
-			s.failCtx(w, &lg, err)
-			return
-		}
-	}
-	s.respondOutcome(w, &lg, o, fill)
+	// Batching off: run the request inline as a batch of one through the
+	// scheduler's runner and retry loop — a faulted replica is ejected and
+	// never Put back, so it degrades capacity without poisoning this or any
+	// later request.
+	s.execute(pool, rep, []*batchItem{it})
+	s.await(w, &lg, it, fill)
 }
 
 // respondOutcome maps a pipeline outcome onto its HTTP response and outcome
-// counter — the shared tail of the per-request and batched paths, keeping
-// the requests_total partition identical in both modes. faulted here means
+// counter — the shared tail of the inline and batched paths, keeping the
+// requests_total partition identical in both modes. faulted here means
 // the retry budget is already spent. fill, when non-nil, is this request's
 // cache-fill obligation: terminal outcomes (success bytes, 422, 500) are
 // published to coalesced waiters, and successes are inserted into the

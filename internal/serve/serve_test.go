@@ -118,7 +118,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 	// Boot-time warmup (what wbserve -warm does) must not perturb outputs:
 	// every post-warmup briefing below still has to match the serial bytes.
-	if err := srv.Pool().Warm(pages[0].HTML); err != nil {
+	if err := srv.Pool().Warm(pages[0].HTML, 1); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 
@@ -250,11 +250,11 @@ func TestServeHTTPErrors(t *testing.T) {
 	}
 }
 
-// stubReplica is a Replica whose Encode blocks until released — the seam
+// stubReplica is a Replica whose Brief blocks until released — the seam
 // for deterministic overload, timeout and drain tests.
 type stubReplica struct {
-	started chan struct{} // receives when Encode begins
-	release chan struct{} // Encode returns after a receive
+	started chan struct{} // receives when a briefing begins
+	release chan struct{} // the briefing returns after a receive
 }
 
 func newStubReplica() *stubReplica {
@@ -263,13 +263,23 @@ func newStubReplica() *stubReplica {
 
 func (r *stubReplica) Parse(html string) (*wb.Instance, error) { return &wb.Instance{}, nil }
 
-func (r *stubReplica) Encode(inst *wb.Instance) *wb.Brief {
-	r.started <- struct{}{}
-	<-r.release
-	return &wb.Brief{}
+func (r *stubReplica) Brief(insts []*wb.Instance) wb.Briefing {
+	return briefEach(insts, func() *wb.Brief {
+		r.started <- struct{}{}
+		<-r.release
+		return &wb.Brief{}
+	})
 }
 
-func (r *stubReplica) Decode(inst *wb.Instance, b *wb.Brief) {}
+// briefEach answers a fake replica's Brief call by running fn once per
+// instance, in order — the per-instance behaviour the fakes script.
+func briefEach(insts []*wb.Instance, fn func() *wb.Brief) wb.Briefing {
+	res := wb.Briefing{Briefs: make([]*wb.Brief, len(insts))}
+	for i := range insts {
+		res.Briefs[i] = fn()
+	}
+	return res
+}
 
 // waitCond polls until cond holds or the deadline passes.
 func waitCond(t *testing.T, what string, cond func() bool) {

@@ -32,9 +32,10 @@ func MakeBrief(m Model, inst *Instance, v *textproc.Vocab, beamWidth int) *Brief
 
 // ExtractBrief runs one eval-mode forward pass and assembles the extractive
 // half of the briefing: the key attribute spans and the informative-section
-// flags. The topic is left empty; DecodeTopic fills it. The split exists so
-// a serving layer can time (and deadline-check between) the encode and
-// decode stages separately.
+// flags. The topic is left empty; DecodeTopic fills it with a forward of its
+// own. This split is the serial reference path — wb.Briefer and the
+// benchmark oracle brief through it; serving briefs through the one-forward
+// ExtractBriefBatch/DecodeTopicBatch pair instead.
 func ExtractBrief(m Model, inst *Instance, v *textproc.Vocab) *Brief {
 	s := GetScratch()
 	defer PutScratch(s)

@@ -1,6 +1,8 @@
 package wb
 
 import (
+	"time"
+
 	"webbrief/internal/ag"
 	"webbrief/internal/nn"
 	"webbrief/internal/tensor"
@@ -131,4 +133,24 @@ func MakeBriefBatch(m Model, insts []*Instance, v *textproc.Vocab, beamWidth int
 	briefs, outs := ExtractBriefBatch(m, insts, v, s)
 	DecodeTopicBatch(m, insts, outs, v, beamWidth, s, briefs)
 	return briefs
+}
+
+// Briefing is what one serving-replica call returns for a micro-batch: a
+// brief per instance, the call's two stage wall times, and — on a cascade
+// replica — each member's tier decision. Every member waited the whole
+// call, so both stage times apply to each of them.
+type Briefing struct {
+	Briefs  []*Brief
+	Encode  time.Duration     // the forward pass plus the extractive tail
+	Decode  time.Duration     // beam search on that forward, plus any escalation
+	Cascade []CascadeDecision // one per instance; nil when no cascade ran
+}
+
+// CascadeDecision records how one briefing moved through a confidence
+// cascade: the student tier's wall time, whether the briefing escalated,
+// and the teacher tier's wall time when it did.
+type CascadeDecision struct {
+	Escalated bool
+	Student   time.Duration
+	Teacher   time.Duration
 }

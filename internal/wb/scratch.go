@@ -16,8 +16,9 @@ import (
 // allocation-free apart from the assembled Brief itself.
 //
 // Ownership contract: a scratch belongs to exactly one in-flight request at
-// a time — serve.Pool gives each replica its own, and the package pool hands
-// each transient caller a private one. The scratch resets its own tape at the
+// a time — the package pool hands each transient caller a private one, and
+// resident callers hold their own (serving replicas own a BatchScratch
+// instead). The scratch resets its own tape at the
 // START of each forward (not the end), so returned Briefs — which hold only
 // strings and ints, never tensor memory — stay valid while the scratch is
 // reused. Nothing that aliases the tape arena may escape a With-call.
@@ -62,7 +63,9 @@ func GetScratch() *InferScratch { return scratchPool.Get().(*InferScratch) }
 // retain the tape or any tensor drawn from it.
 func PutScratch(s *InferScratch) { scratchPool.Put(s) }
 
-// ExtractBriefWith is ExtractBrief running on the caller's workspace.
+// ExtractBriefWith is ExtractBrief running on the caller's workspace: the
+// extractive half of the serial reference path used by wb.Briefer and the
+// benchmark oracle. It runs its own forward; GenerateTopicWith runs another.
 func ExtractBriefWith(m Model, inst *Instance, v *textproc.Vocab, s *InferScratch) *Brief {
 	s.Tape.Reset()
 	out := m.Forward(s.Tape, inst, Eval)
@@ -87,7 +90,9 @@ func extractiveBrief(out *Output, inst *Instance, v *textproc.Vocab) *Brief {
 	return b
 }
 
-// GenerateTopicWith is GenerateTopic running on the caller's workspace.
+// GenerateTopicWith is GenerateTopic running on the caller's workspace: the
+// topic half of the serial reference path used by wb.Briefer and the
+// benchmark oracle, with a forward of its own.
 func GenerateTopicWith(m Model, inst *Instance, beamWidth, maxLen int, s *InferScratch) []int {
 	s.Tape.Reset()
 	out := m.Forward(s.Tape, inst, Eval)

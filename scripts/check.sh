@@ -22,6 +22,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== fleetbench module (its own go.mod: the root build never compiles it)"
+(cd fleetbench && go vet ./... && go test ./...)
+
 echo "== wbcheck (determinism + numeric-safety + concurrency/resource-safety lints, 9 passes)"
 go run ./cmd/wbcheck ./...
 
