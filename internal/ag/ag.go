@@ -171,6 +171,15 @@ func (t *Tape) SetRand(rng *rand.Rand) { t.rng = rng }
 // capacity diagnostics.
 func (t *Tape) Len() int { return len(t.nodes) }
 
+// Footprint reports the float count held by the tape's arena (0 on heap
+// tapes), for capacity diagnostics and tests.
+func (t *Tape) Footprint() int {
+	if t.arena == nil {
+		return 0
+	}
+	return t.arena.Footprint()
+}
+
 // newNode allocates a fresh node from the tape's block arena and records it.
 func (t *Tape) newNode(v *tensor.Matrix) *Node {
 	if t.blk == len(t.blocks) {

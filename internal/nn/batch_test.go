@@ -22,25 +22,41 @@ var raggedLens = [][]int{
 	{7, 6, 5, 4, 3, 2, 1, 7},
 }
 
-// TestBiLSTMForwardBatchMatchesSerial pins ForwardBatch to Forward across
-// ragged batch shapes: every output value must compare equal (== admits the
-// ±0 divergence the blocked kernels document, and nothing else).
+// longLens adds one long ragged batch to raggedLens: 1500+ steps exercise
+// the streaming recurrence at page length, where any per-step drift would
+// compound.
+var longLens = []int{1537, 3, 812, 1537, 1}
+
+// newBiasedBiLSTM returns a Bi-LSTM whose gate biases are random rather
+// than NewLSTM's zeros-and-ones, so the equivalence tests see every gate's
+// bias term.
+func newBiasedBiLSTM(in, hidden int, rng *rand.Rand) *BiLSTM {
+	bi := NewBiLSTM("b", in, hidden, rng)
+	for _, l := range []*LSTM{bi.Fwd, bi.Bwd} {
+		l.B.Value = tensor.Uniform(1, 4*hidden, -1, 1, rng)
+	}
+	return bi
+}
+
+// TestBiLSTMForwardBatchMatchesSerial pins ForwardBatch to the Step
+// recurrence on a gradient tape, per sequence, across ragged batch shapes:
+// every output value must compare equal (== admits the ±0 divergence the
+// blocked kernels document, and nothing else). The reference is the
+// gradient tape because inference Forward itself runs ForwardBatch.
 func TestBiLSTMForwardBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const in, hidden = 9, 6
-	bi := NewBiLSTM("b", in, hidden, rng)
-	for _, lens := range raggedLens {
-		// Serial references, one per sequence, each on a fresh pack-routed
-		// infer tape — the exact per-request configuration.
+	bi := newBiasedBiLSTM(in, hidden, rng)
+	for _, lens := range append(raggedLens, longLens) {
 		inputs := make([]*tensor.Matrix, len(lens))
 		want := make([]*tensor.Matrix, len(lens))
 		for i, l := range lens {
 			inputs[i] = tensor.Uniform(l, in, -1, 1, rng)
-			tp := ag.NewInferTape()
-			tp.SetPack(&tensor.PackBuf{})
-			want[i] = bi.Forward(tp, tp.Const(inputs[i])).Value.Clone()
+			tp := ag.NewTape()
+			want[i] = bi.Forward(tp, tp.Const(inputs[i])).Value
 		}
-		// One batched pass over all of them on a shared tape.
+		// One batched pass over all of them on a shared pack-routed infer
+		// tape — the serving configuration.
 		tp := ag.NewInferTape()
 		tp.SetPack(&tensor.PackBuf{})
 		xs := make([]*ag.Node, len(lens))
@@ -55,12 +71,112 @@ func TestBiLSTMForwardBatchMatchesSerial(t *testing.T) {
 			}
 			for k, v := range got[i].Value.Data {
 				if v != want[i].Data[k] {
-					t.Fatalf("lens %v seq %d: value %d diverges: batched %v, serial %v",
+					t.Fatalf("lens %v seq %d: value %d diverges: batched %v, Step %v",
 						lens, i, k, v, want[i].Data[k])
 				}
 			}
 		}
 	}
+}
+
+// stepForward32 is the independent float32 reference: the LSTM32.Step
+// recurrence over one sequence, forward then backward, concatenated.
+func stepForward32(tp *ag.Tape32, b *BiLSTM32, x *tensor.Matrix32) *tensor.Matrix32 {
+	seq, h := x.Rows, b.Fwd.Hidden
+	out := tensor.New32(seq, b.OutDim())
+	s := b.Fwd.ZeroState(tp)
+	for i := 0; i < seq; i++ {
+		s = b.Fwd.Step(tp, tp.SliceRows(x, i, i+1), s)
+		copy(out.Row(i)[:h], s.H.Data)
+	}
+	s = b.Bwd.ZeroState(tp)
+	for i := seq - 1; i >= 0; i-- {
+		s = b.Bwd.Step(tp, tp.SliceRows(x, i, i+1), s)
+		copy(out.Row(i)[h:], s.H.Data)
+	}
+	return out
+}
+
+// TestBiLSTM32ForwardBatchMatchesStep is the float32 twin of
+// TestBiLSTMForwardBatchMatchesSerial, against an LSTM32.Step loop.
+func TestBiLSTM32ForwardBatchMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const in, hidden = 9, 6
+	bi := NewBiLSTM32From(newBiasedBiLSTM(in, hidden, rng))
+	for _, lens := range append(raggedLens, longLens) {
+		inputs := make([]*tensor.Matrix32, len(lens))
+		want := make([]*tensor.Matrix32, len(lens))
+		for i, l := range lens {
+			inputs[i] = tensor.ToMatrix32(tensor.Uniform(l, in, -1, 1, rng))
+			want[i] = stepForward32(ag.NewInferTape32(), bi, inputs[i])
+		}
+		tp := ag.NewInferTape32()
+		tp.SetPack(&tensor.PackBuf32{})
+		got := bi.ForwardBatch(tp, inputs)
+		for i := range got {
+			if got[i].Rows != want[i].Rows || got[i].Cols != want[i].Cols {
+				t.Fatalf("lens %v seq %d: batched shape %dx%d, want %dx%d",
+					lens, i, got[i].Rows, got[i].Cols, want[i].Rows, want[i].Cols)
+			}
+			for k, v := range got[i].Data {
+				if v != want[i].Data[k] {
+					t.Fatalf("lens %v seq %d: value %d diverges: batched %v, Step %v",
+						lens, i, k, v, want[i].Data[k])
+				}
+			}
+		}
+	}
+}
+
+// TestBiLSTMForwardBatchFootprint is the memory gate of the streaming
+// recurrence: after ForwardBatch over a long ragged batch, a fresh arena
+// holds the hoisted input projections of both directions, the outputs and
+// O(n·4h) of working space — nothing per timestep. The slack covers the
+// slab tails that requests too large for them skip; it is half of what one
+// extra 4h-wide buffer per running row and timestep would add.
+func TestBiLSTMForwardBatchFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const in, hidden = 9, 16
+	lens := []int{1600, 1000, 400, 3}
+	total := 0
+	for _, l := range lens {
+		total += l
+	}
+	n := len(lens)
+	projections := 2 * total * 4 * hidden   // x·Wx, both directions
+	outputs := total * 2 * hidden           // seq_i×2h each
+	work := 2 * (2*n*hidden + 2*n*4*hidden) // H, C, XP, HH per direction
+	slack := 3 << 16                        // three default arena slabs
+	bound := projections + outputs + work + slack
+	bi := NewBiLSTM("b", in, hidden, rng)
+	inputs := make([]*tensor.Matrix, n)
+	for i, l := range lens {
+		inputs[i] = tensor.Uniform(l, in, -1, 1, rng)
+	}
+
+	t.Run("float64", func(t *testing.T) {
+		tp := ag.NewInferTape()
+		xs := make([]*ag.Node, n)
+		for i, x := range inputs {
+			xs[i] = tp.Const(x)
+		}
+		bi.ForwardBatch(tp, xs)
+		if got := tp.Footprint(); got > bound {
+			t.Fatalf("arena holds %d floats after ForwardBatch, want <= %d", got, bound)
+		}
+	})
+	t.Run("float32", func(t *testing.T) {
+		bi32 := NewBiLSTM32From(bi)
+		xs := make([]*tensor.Matrix32, n)
+		for i, x := range inputs {
+			xs[i] = tensor.ToMatrix32(x)
+		}
+		tp := ag.NewInferTape32()
+		bi32.ForwardBatch(tp, xs)
+		if got := tp.Footprint(); got > bound {
+			t.Fatalf("arena holds %d floats after ForwardBatch, want <= %d", got, bound)
+		}
+	})
 }
 
 // TestBeamSearchBatchMatchesScratch pins BeamSearchBatch to per-instance

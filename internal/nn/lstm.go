@@ -105,8 +105,14 @@ func (b *BiLSTM) Params() []*ag.Param {
 // OutDim returns the concatenated hidden width.
 func (b *BiLSTM) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
-// Forward returns the seq×2h matrix of concatenated forward/backward states.
+// Forward returns the seq×2h matrix of concatenated forward/backward
+// states. Gradient tapes run the Step recurrence, which records every op
+// for backprop; gradient-free tapes take the streaming ForwardBatch path,
+// whose values are identical (see ForwardBatch).
 func (b *BiLSTM) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
+	if t.NoGrad() {
+		return b.ForwardBatch(t, []*ag.Node{x})[0]
+	}
 	seq := x.Rows()
 	fwd := make([]*ag.Node, seq)
 	s := b.Fwd.ZeroState(t)

@@ -36,19 +36,11 @@ func (l *LSTM32) ZeroState(t *ag.Tape32) State32 {
 }
 
 // Step advances the LSTM one timestep (or one fused batch of timesteps —
-// every row advances independently) and returns the new state.
+// every row advances independently) and returns the new state. It is the
+// composed op chain the streaming BiLSTM32.ForwardBatch fuses into
+// tensor.LSTMCellInto32, and stays the decoder's cell step.
 func (l *LSTM32) Step(t *ag.Tape32, x *tensor.Matrix32, s State32) State32 {
-	return l.stepFromProj(t, t.MatMul(x, l.Wx), s)
-}
-
-// stepFromProj is Step with the input projection x·Wx already computed.
-// The forward passes hoist that projection out of the recurrence: the
-// whole sequence's x·Wx is one packed seq-row matmul instead of seq
-// latency-bound 1-row products, and matmul rows are computed independently
-// in ascending-k order, so the hoisted projection is bitwise identical to
-// the per-step one. Only the h·Wh recurrence stays inside the time loop.
-func (l *LSTM32) stepFromProj(t *ag.Tape32, xp *tensor.Matrix32, s State32) State32 {
-	gates := t.AddRowVector(t.Add(xp, t.MatMul(s.H, l.Wh)), l.B)
+	gates := t.AddRowVector(t.Add(t.MatMul(x, l.Wx), t.MatMul(s.H, l.Wh)), l.B)
 	h := l.Hidden
 	i := t.Sigmoid(t.SliceCols(gates, 0, h))
 	f := t.Sigmoid(t.SliceCols(gates, h, 2*h))
@@ -56,20 +48,6 @@ func (l *LSTM32) stepFromProj(t *ag.Tape32, xp *tensor.Matrix32, s State32) Stat
 	o := t.Sigmoid(t.SliceCols(gates, 3*h, 4*h))
 	c := t.Add(t.Mul(f, s.C), t.Mul(i, g))
 	return State32{H: t.Mul(o, t.Tanh(c)), C: c}
-}
-
-// Forward runs the LSTM over a seq×in input and returns the seq×hidden
-// matrix of hidden states.
-func (l *LSTM32) Forward(t *ag.Tape32, x *tensor.Matrix32) *tensor.Matrix32 {
-	seq := x.Rows
-	s := l.ZeroState(t)
-	xp := t.MatMul(x, l.Wx) // hoisted input projection, seq×4h
-	hs := make([]*tensor.Matrix32, seq)
-	for i := 0; i < seq; i++ {
-		s = l.stepFromProj(t, t.SliceRows(xp, i, i+1), s)
-		hs[i] = s.H
-	}
-	return t.ConcatRows(hs...)
 }
 
 // BiLSTM32 is the float32 serving form of BiLSTM.
@@ -86,131 +64,70 @@ func NewBiLSTM32From(b *BiLSTM) *BiLSTM32 {
 func (b *BiLSTM32) OutDim() int { return b.Fwd.Hidden + b.Bwd.Hidden }
 
 // Forward returns the seq×2h matrix of concatenated forward/backward
-// states, mirroring BiLSTM.Forward.
+// states: ForwardBatch over a batch of one.
 func (b *BiLSTM32) Forward(t *ag.Tape32, x *tensor.Matrix32) *tensor.Matrix32 {
-	seq := x.Rows
-	fwd := make([]*tensor.Matrix32, seq)
-	s := b.Fwd.ZeroState(t)
-	xp := t.MatMul(x, b.Fwd.Wx)
-	for i := 0; i < seq; i++ {
-		s = b.Fwd.stepFromProj(t, t.SliceRows(xp, i, i+1), s)
-		fwd[i] = s.H
-	}
-	bwd := make([]*tensor.Matrix32, seq)
-	s = b.Bwd.ZeroState(t)
-	xp = t.MatMul(x, b.Bwd.Wx)
-	for i := seq - 1; i >= 0; i-- {
-		s = b.Bwd.stepFromProj(t, t.SliceRows(xp, i, i+1), s)
-		bwd[i] = s.H
-	}
-	rows := make([]*tensor.Matrix32, seq)
-	for i := 0; i < seq; i++ {
-		rows[i] = t.ConcatCols2(fwd[i], bwd[i])
-	}
-	return t.ConcatRows(rows...)
+	return b.ForwardBatch(t, []*tensor.Matrix32{x})[0]
 }
 
-// ForwardBatch runs the Bi-LSTM over a ragged batch of sequences in
-// lockstep, the float32 twin of BiLSTM.ForwardBatch: each timestep fuses
-// the per-sequence 1-row recurrences into one B-row Step, with active-set
-// compaction for ragged lengths. Each returned seq_i×2h matrix matches what
-// Forward would produce for that sequence alone (kernel rows are computed
-// independently; the gather/scatter helpers only move rows).
+// ForwardBatch runs the Bi-LSTM over a ragged batch of sequences with one
+// streaming recurrence per direction, the float32 twin of
+// BiLSTM.ForwardBatch. Each returned seq_i×2h matrix matches the LSTM32.Step
+// recurrence over that sequence alone (matmul rows are independent and
+// tensor.LSTMCellInto32 is the Step chain fused), and nothing is allocated
+// per timestep.
 func (b *BiLSTM32) ForwardBatch(t *ag.Tape32, xs []*tensor.Matrix32) []*tensor.Matrix32 {
-	outs := make([]*tensor.Matrix32, len(xs))
-	for i, x := range xs {
-		outs[i] = t.AllocValue(x.Rows, b.Fwd.Hidden+b.Bwd.Hidden)
+	n := len(xs)
+	outs := make([]*tensor.Matrix32, n)
+	if n == 0 {
+		return outs
 	}
-	lstmLockstep32(t, b.Fwd, xs, outs, 0, false)
-	lstmLockstep32(t, b.Bwd, xs, outs, b.Fwd.Hidden, true)
+	lens := make([]int, n)
+	for i, x := range xs {
+		lens[i] = x.Rows
+	}
+	order := longestFirst(lens)
+	seqs := make([]*tensor.Matrix32, n)
+	sorted := make([]*tensor.Matrix32, n)
+	for r, i := range order {
+		seqs[r] = xs[i]
+		outs[i] = t.AllocValue(lens[i], b.OutDim())
+		sorted[r] = outs[i]
+	}
+	b.Fwd.stream(t, seqs, sorted, 0, false)
+	b.Bwd.stream(t, seqs, sorted, b.Fwd.Hidden, true)
 	return outs
 }
 
-// lstmLockstep32 advances l over all sequences at once, writing each hidden
-// state into columns [colOff, colOff+h) of the owning sequence's output
-// matrix — the float32 twin of lstmLockstep.
-func lstmLockstep32(t *ag.Tape32, l *LSTM32, xs []*tensor.Matrix32, outs []*tensor.Matrix32, colOff int, reverse bool) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	h := l.Hidden
-	maxLen := 0
-	for _, x := range xs {
-		if x.Rows > maxLen {
-			maxLen = x.Rows
-		}
-	}
-	// Hoist each sequence's input projection out of the time loop (see
-	// stepFromProj); the per-step gather then reads projected 4h-wide rows
-	// and the only matmul inside the recurrence is h·Wh.
+// stream is the float32 twin of LSTM.stream: l over seqs (longest first),
+// hidden states into columns [colOff, colOff+h) of outs.
+func (l *LSTM32) stream(t *ag.Tape32, seqs, outs []*tensor.Matrix32, colOff int, reverse bool) {
+	n, h := len(seqs), l.Hidden
 	xps := make([]*tensor.Matrix32, n)
-	for i, x := range xs {
-		xps[i] = t.MatMul(x, l.Wx)
+	for r, x := range seqs {
+		xps[r] = t.MatMul(x, l.Wx)
 	}
-	hs := make([]*tensor.Matrix32, n)
-	cs := make([]*tensor.Matrix32, n)
-	for i := range xs {
-		hs[i] = t.AllocValue(1, h)
-		cs[i] = t.AllocValue(1, h)
-	}
-	var (
-		active = make([]int, 0, n)
-		mats   = make([]*tensor.Matrix32, 0, n)
-		rows   = make([]int, 0, n)
-		zeros  = make([]int, n)
-	)
-	for step := 0; step < maxLen; step++ {
-		active = active[:0]
-		for i, x := range xs {
-			if step < x.Rows {
-				active = append(active, i)
+	H, C := t.AllocValue(n, h), t.AllocValue(n, h)
+	XP, HH := t.AllocValue(n, 4*h), t.AllocValue(n, 4*h)
+	hv, cv, xv, hhv := H, C, XP, HH // views of the running row prefix
+	a := n
+	for step := 0; step < xps[0].Rows; step++ {
+		if xps[a-1].Rows <= step {
+			for xps[a-1].Rows <= step {
+				a--
 			}
+			hv = t.ViewValue(a, h, H.Data[:a*h])
+			cv = t.ViewValue(a, h, C.Data[:a*h])
+			xv = t.ViewValue(a, 4*h, XP.Data[:a*4*h])
+			hhv = t.ViewValue(a, 4*h, HH.Data[:a*4*h])
 		}
-		a := len(active)
-		xp := t.AllocValue(a, 4*h)
-		mats, rows = mats[:0], rows[:0]
-		for _, i := range active {
-			pos := step
-			if reverse {
-				pos = xs[i].Rows - 1 - step
-			}
-			mats = append(mats, xps[i])
-			rows = append(rows, pos)
+		for r := 0; r < a; r++ {
+			copy(xv.Row(r), xps[r].Row(streamPos(step, xps[r].Rows, reverse)))
 		}
-		tensor.GatherRowsInto32(xp, mats, rows)
-		hp := t.AllocValue(a, h)
-		cp := t.AllocValue(a, h)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
+		clear(hhv.Data)
+		tensor.MatMulInto32(hhv, hv, l.Wh)
+		tensor.LSTMCellInto32(hv, cv, xv, hhv, l.B)
+		for r := 0; r < a; r++ {
+			copy(outs[r].Row(streamPos(step, xps[r].Rows, reverse))[colOff:colOff+h], hv.Row(r))
 		}
-		tensor.GatherRowsInto32(hp, mats, zeros[:a])
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.GatherRowsInto32(cp, mats, zeros[:a])
-		st := l.stepFromProj(t, xp, State32{H: hp, C: cp})
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
-		}
-		tensor.ScatterRowsInto32(mats, zeros[:a], st.H)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.ScatterRowsInto32(mats, zeros[:a], st.C)
-		mats, rows = mats[:0], rows[:0]
-		for _, i := range active {
-			pos := step
-			if reverse {
-				pos = xs[i].Rows - 1 - step
-			}
-			mats = append(mats, outs[i])
-			rows = append(rows, pos)
-		}
-		tensor.ScatterRowSpansInto32(mats, rows, colOff, st.H)
 	}
 }

@@ -5,120 +5,101 @@ import (
 	"webbrief/internal/tensor"
 )
 
-// ForwardBatch runs the Bi-LSTM over a ragged batch of sequences in
-// lockstep, fusing each timestep's per-sequence 1-row recurrences into one
-// B-row Step so the gate matmuls amortize panel packing and cache traffic
-// across the batch. It returns one seq_i×2h node per input, each bitwise
-// identical (up to the sign of zero, see tensor/kernels.go) to what Forward
-// would produce for that sequence alone: every kernel in the Step chain
-// computes output rows independently, and the gather/scatter helpers only
-// move rows between the per-sequence matrices and the dense slab.
+// ForwardBatch runs the Bi-LSTM over a ragged batch of sequences with one
+// streaming recurrence per direction, the inference path of the encoder
+// (Forward routes gradient-free tapes here). It returns one seq_i×2h node
+// per input, each bitwise identical (up to the sign of zero, see
+// tensor/kernels.go) to the Step recurrence over that sequence alone:
+// matmul rows are computed independently in ascending-k order, and
+// tensor.LSTMCellInto is the Step op chain fused into one pass.
 //
-// Sequences of different lengths are handled by active-set compaction: step
-// t gathers rows only from sequences still inside their length (the forward
-// pass reads row t, the backward pass row len-1-t), so no padding rows are
-// ever computed or written. Inference-only — intermediate states are not
-// recorded for backprop beyond what the underlying tape records itself.
+// Per direction the recurrence hoists x·Wx for every sequence out of the
+// time loop, then per timestep computes h·Wh for all running sequences into
+// one reused buffer and applies the cell kernel to the state slabs in
+// place. Sequences are processed longest first, so the ones still running
+// at any step are a row prefix of the slabs: a finished sequence's rows are
+// simply no longer touched, and state never moves — only projection rows
+// are copied in and hidden rows copied out. Nothing is allocated per
+// timestep: the arena ends up holding the projections, the outputs and
+// O(n·4h) of working space. Inference-only: no gradient flows into the
+// returned nodes.
 func (b *BiLSTM) ForwardBatch(t *ag.Tape, xs []*ag.Node) []*ag.Node {
-	outs := make([]*tensor.Matrix, len(xs))
+	n := len(xs)
+	nodes := make([]*ag.Node, n)
+	if n == 0 {
+		return nodes
+	}
+	lens := make([]int, n)
 	for i, x := range xs {
-		outs[i] = t.AllocValue(x.Rows(), b.Fwd.Hidden+b.Bwd.Hidden)
+		lens[i] = x.Rows()
 	}
-	lstmLockstep(t, b.Fwd, xs, outs, 0, false)
-	lstmLockstep(t, b.Bwd, xs, outs, b.Fwd.Hidden, true)
-	nodes := make([]*ag.Node, len(xs))
-	for i, m := range outs {
-		nodes[i] = t.Const(m)
+	order := longestFirst(lens)
+	seqs := make([]*ag.Node, n)
+	sorted := make([]*tensor.Matrix, n)
+	for r, i := range order {
+		seqs[r] = xs[i]
+		sorted[r] = t.AllocValue(lens[i], b.OutDim())
+		nodes[i] = t.Const(sorted[r])
 	}
+	b.Fwd.stream(t, seqs, sorted, 0, false)
+	b.Bwd.stream(t, seqs, sorted, b.Fwd.Hidden, true)
 	return nodes
 }
 
-// lstmLockstep advances l over all sequences at once, writing each hidden
-// state into columns [colOff, colOff+h) of the owning sequence's output
-// matrix. reverse selects the backward direction (input row len-1-t at step
-// t, as in BiLSTM.Forward's second loop).
-func lstmLockstep(t *ag.Tape, l *LSTM, xs []*ag.Node, outs []*tensor.Matrix, colOff int, reverse bool) {
-	n := len(xs)
-	if n == 0 {
-		return
-	}
-	h := l.Hidden
-	in, maxLen := xs[0].Cols(), 0
-	for _, x := range xs {
-		if x.Rows() > maxLen {
-			maxLen = x.Rows()
+// longestFirst returns the batch indices ordered by descending length, ties
+// in input order. Batches are a handful of sequences, so an insertion sort
+// is enough.
+func longestFirst(lens []int) []int {
+	order := make([]int, len(lens))
+	for i := range order {
+		order[i] = i
+		for j := i; j > 0 && lens[order[j]] > lens[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	// Per-sequence running states, zero-initialised like ZeroState; each
-	// step gathers the active ones into a slab and scatters the results
-	// back, so a sequence's state never mixes with its neighbours'.
-	hs := make([]*tensor.Matrix, n)
-	cs := make([]*tensor.Matrix, n)
-	for i := range xs {
-		hs[i] = t.AllocValue(1, h)
-		cs[i] = t.AllocValue(1, h)
+	return order
+}
+
+// stream advances l over seqs (longest first) and writes each hidden state
+// into columns [colOff, colOff+h) of the matching row of outs. reverse
+// selects the backward direction: step t reads row len-1-t.
+func (l *LSTM) stream(t *ag.Tape, seqs []*ag.Node, outs []*tensor.Matrix, colOff int, reverse bool) {
+	n, h := len(seqs), l.Hidden
+	wx := t.Use(l.Wx)
+	xps := make([]*tensor.Matrix, n)
+	for r, x := range seqs {
+		xps[r] = t.MatMul(x, wx).Value
 	}
-	var (
-		active = make([]int, 0, n)
-		mats   = make([]*tensor.Matrix, 0, n)
-		rows   = make([]int, 0, n)
-		zeros  = make([]int, n)
-	)
-	for step := 0; step < maxLen; step++ {
-		active = active[:0]
-		for i, x := range xs {
-			if step < x.Rows() {
-				active = append(active, i)
+	H, C := t.AllocValue(n, h), t.AllocValue(n, h)
+	XP, HH := t.AllocValue(n, 4*h), t.AllocValue(n, 4*h)
+	hv, cv, xv, hhv := H, C, XP, HH // views of the running row prefix
+	a := n
+	for step := 0; step < xps[0].Rows; step++ {
+		if xps[a-1].Rows <= step {
+			for xps[a-1].Rows <= step {
+				a--
 			}
+			hv = t.ViewValue(a, h, H.Data[:a*h])
+			cv = t.ViewValue(a, h, C.Data[:a*h])
+			xv = t.ViewValue(a, 4*h, XP.Data[:a*4*h])
+			hhv = t.ViewValue(a, 4*h, HH.Data[:a*4*h])
 		}
-		a := len(active)
-		// Gather this step's input row from every active sequence.
-		x := t.AllocValue(a, in)
-		mats, rows = mats[:0], rows[:0]
-		for _, i := range active {
-			pos := step
-			if reverse {
-				pos = xs[i].Rows() - 1 - step
-			}
-			mats = append(mats, xs[i].Value)
-			rows = append(rows, pos)
+		for r := 0; r < a; r++ {
+			copy(xv.Row(r), xps[r].Row(streamPos(step, xps[r].Rows, reverse)))
 		}
-		tensor.GatherRowsInto(x, mats, rows)
-		// Gather the active running states into a-row slabs.
-		hp := t.AllocValue(a, h)
-		cp := t.AllocValue(a, h)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
+		clear(hhv.Data)
+		tensor.MatMulInto(hhv, hv, l.Wh.Value)
+		tensor.LSTMCellInto(hv, cv, xv, hhv, l.B.Value)
+		for r := 0; r < a; r++ {
+			copy(outs[r].Row(streamPos(step, xps[r].Rows, reverse))[colOff:colOff+h], hv.Row(r))
 		}
-		tensor.GatherRowsInto(hp, mats, zeros[:a])
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.GatherRowsInto(cp, mats, zeros[:a])
-		// One fused a-row step for all active sequences.
-		st := l.Step(t, t.Const(x), State{H: t.Const(hp), C: t.Const(cp)})
-		// Scatter the new states back and the hidden rows into the outputs.
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, hs[i])
-		}
-		tensor.ScatterRowsInto(mats, zeros[:a], st.H.Value)
-		mats = mats[:0]
-		for _, i := range active {
-			mats = append(mats, cs[i])
-		}
-		tensor.ScatterRowsInto(mats, zeros[:a], st.C.Value)
-		mats, rows = mats[:0], rows[:0]
-		for _, i := range active {
-			pos := step
-			if reverse {
-				pos = xs[i].Rows() - 1 - step
-			}
-			mats = append(mats, outs[i])
-			rows = append(rows, pos)
-		}
-		tensor.ScatterRowSpansInto(mats, rows, colOff, st.H.Value)
 	}
+}
+
+// streamPos is the sequence row a direction reads at a timestep.
+func streamPos(step, rows int, reverse bool) int {
+	if reverse {
+		return rows - 1 - step
+	}
+	return step
 }

@@ -404,6 +404,48 @@ func BenchmarkBiLSTMForward(b *testing.B) {
 	}
 }
 
+// benchSink keeps benchmarked results live so the compiler cannot drop the
+// measured call.
+var benchSink any
+
+// BenchmarkBiLSTMForwardBatch measures the streaming encoder at serving
+// shape: a batch of three long pages through the 24-wide Bi-LSTM, on a
+// reused arena tape in both precisions.
+func BenchmarkBiLSTMForwardBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bi := NewBiLSTM("b", 24, 24, rng)
+	lens := []int{1200, 1100, 900}
+	b.Run("float64", func(b *testing.B) {
+		tp := ag.NewInferTape()
+		xs := make([]*tensor.Matrix, len(lens))
+		for i, l := range lens {
+			xs[i] = tensor.Uniform(l, 24, -1, 1, rng)
+		}
+		nodes := make([]*ag.Node, len(lens))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tp.Reset()
+			for j, x := range xs {
+				nodes[j] = tp.Const(x)
+			}
+			benchSink = bi.ForwardBatch(tp, nodes)
+		}
+	})
+	b.Run("float32", func(b *testing.B) {
+		bi32 := NewBiLSTM32From(bi)
+		tp := ag.NewInferTape32()
+		xs := make([]*tensor.Matrix32, len(lens))
+		for i, l := range lens {
+			xs[i] = tensor.ToMatrix32(tensor.Uniform(l, 24, -1, 1, rng))
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tp.Reset()
+			benchSink = bi32.ForwardBatch(tp, xs)
+		}
+	})
+}
+
 func BenchmarkTransformerEncode(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := TransformerConfig{Vocab: 1000, Dim: 32, Heads: 4, Layers: 2, FFDim: 64, MaxLen: 64}

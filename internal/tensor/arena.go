@@ -99,7 +99,17 @@ func (a *Arena) allocHeader(rows, cols int) *Matrix {
 // Reset rewinds the arena so all previously allocated matrices may be
 // reused. The caller must ensure nothing from before the Reset is still
 // referenced: old matrices will alias new ones.
+//
+// When the last fill spilled past slab 0, Reset replaces all slabs with one
+// slab of their summed size. Otherwise varying request shapes pile up slabs
+// of mixed sizes, which later fills skip whenever a request is too large for
+// a slab's remainder. Every fill seen so far fits the merged slab without
+// gaps, so the arena settles at one slab instead of growing with each new
+// mix of shapes.
 func (a *Arena) Reset() {
+	if a.slab > 0 {
+		a.slabs = [][]float64{make([]float64, a.Footprint())}
+	}
 	a.slab, a.off = 0, 0
 	a.matBlk, a.matOff = 0, 0
 }

@@ -87,7 +87,13 @@ func (a *Arena32) allocHeader(rows, cols int) *Matrix32 {
 // Reset rewinds the arena so all previously allocated matrices may be
 // reused. The caller must ensure nothing from before the Reset is still
 // referenced: old matrices will alias new ones.
+//
+// Like Arena.Reset, a fill that spilled past slab 0 merges all slabs into
+// one of their summed size, so the arena settles at one slab.
 func (a *Arena32) Reset() {
+	if a.slab > 0 {
+		a.slabs = [][]float32{make([]float32, a.Footprint())}
+	}
 	a.slab, a.off = 0, 0
 	a.matBlk, a.matOff = 0, 0
 }

@@ -87,6 +87,45 @@ func TestArenaAllocShared(t *testing.T) {
 	}
 }
 
+// TestArenaSettlesAcrossShapes alternates two fill patterns of different
+// shapes — many mid-sized requests that leave each slab's tail unused, then
+// a few requests larger than a default slab — the way ragged batches of
+// different page lengths hit a serving arena. After the first cycle the
+// arena must hold one slab and its footprint must stop growing.
+func TestArenaSettlesAcrossShapes(t *testing.T) {
+	check := func(t *testing.T, reset func(), alloc func(int), footprint, slabs func() int) {
+		var settled int
+		for cycle := 0; cycle < 6; cycle++ {
+			reset()
+			for i := 0; i < 30; i++ {
+				alloc(5000 + 37*i)
+			}
+			reset()
+			for _, n := range []int{100000, 20000, 70000, 3} {
+				alloc(n)
+			}
+			if cycle == 0 {
+				settled = footprint()
+				continue
+			}
+			if got := footprint(); got != settled {
+				t.Fatalf("cycle %d: footprint %d, want the first cycle's high-water %d", cycle, got, settled)
+			}
+			if n := slabs(); n != 1 {
+				t.Fatalf("cycle %d: %d slabs, want 1", cycle, n)
+			}
+		}
+	}
+	t.Run("float64", func(t *testing.T) {
+		a := NewArena()
+		check(t, a.Reset, func(n int) { a.AllocFloats(n) }, a.Footprint, func() int { return len(a.slabs) })
+	})
+	t.Run("float32", func(t *testing.T) {
+		a := NewArena32()
+		check(t, a.Reset, func(n int) { a.AllocFloats(n) }, a.Footprint, func() int { return len(a.slabs) })
+	})
+}
+
 func BenchmarkArenaAllocReset(b *testing.B) {
 	a := NewArena()
 	b.ReportAllocs()

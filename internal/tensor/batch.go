@@ -2,13 +2,13 @@ package tensor
 
 import "fmt"
 
-// Ragged-batch gather/scatter helpers. Cross-request batching advances B
-// variable-length sequences in lockstep: each timestep gathers one row from
-// every still-active sequence into a dense slab, runs the ordinary B-row
-// kernels over it, and scatters the result rows back out. Because every
-// matmul kernel in this package computes each output row independently (see
-// kernels.go), the slab rows come out bitwise identical to B separate 1-row
-// calls — these helpers only move rows, they never mix them.
+// Ragged-batch gather helper. The batched beam decode advances several
+// beams in lockstep: each step gathers one state row from every live beam
+// into a dense slab and runs the ordinary B-row kernels over it. Because
+// every matmul kernel in this package computes each output row
+// independently (see kernels.go), the slab rows come out bitwise identical
+// to B separate 1-row calls — gathering only moves rows, it never mixes
+// them.
 
 // GatherRowsInto copies row srcRows[i] of srcs[i] into row i of dst,
 // assembling a dense len(srcs)×cols slab from one row of each source. All
@@ -31,60 +31,5 @@ func GatherRowsInto(dst *Matrix, srcs []*Matrix, srcRows []int) {
 	}
 	for i, src := range srcs {
 		copy(dst.Row(i), src.Row(srcRows[i]))
-	}
-}
-
-// ScatterRowsInto copies row i of src into row dstRows[i] of dsts[i] — the
-// inverse of GatherRowsInto, distributing slab rows back to their owning
-// per-sequence matrices. All destinations must share src's column count and
-// dstRows[i] must be a valid row of dsts[i]; shape violations panic before
-// any row is written.
-func ScatterRowsInto(dsts []*Matrix, dstRows []int, src *Matrix) {
-	if len(dsts) != len(dstRows) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto %d dsts, %d rows", len(dsts), len(dstRows)))
-	}
-	if src.Rows != len(dsts) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto src has %d rows, want %d", src.Rows, len(dsts)))
-	}
-	for i, dst := range dsts {
-		if dst.Cols != src.Cols {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto dst %d has %d cols, src has %d", i, dst.Cols, src.Cols))
-		}
-		if r := dstRows[i]; r < 0 || r >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto row %d out of range for dst %d with %d rows", r, i, dst.Rows))
-		}
-	}
-	for i, dst := range dsts {
-		copy(dst.Row(dstRows[i]), src.Row(i))
-	}
-}
-
-// ScatterRowSpansInto copies row i of src into columns
-// [colOff, colOff+src.Cols) of row dstRows[i] of dsts[i]. It is
-// ScatterRowsInto for destinations wider than the slab — a Bi-LSTM writes
-// forward states into the left half and backward states into the right half
-// of each sequence's output matrix. The span must fit every destination's
-// width and dstRows[i] must be a valid row of dsts[i]; shape violations
-// panic before any row is written.
-func ScatterRowSpansInto(dsts []*Matrix, dstRows []int, colOff int, src *Matrix) {
-	if len(dsts) != len(dstRows) {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto %d dsts, %d rows", len(dsts), len(dstRows)))
-	}
-	if src.Rows != len(dsts) {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto src has %d rows, want %d", src.Rows, len(dsts)))
-	}
-	if colOff < 0 {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto negative column offset %d", colOff))
-	}
-	for i, dst := range dsts {
-		if colOff+src.Cols > dst.Cols {
-			panic(fmt.Sprintf("tensor: ScatterRowSpansInto span [%d,%d) exceeds dst %d with %d cols", colOff, colOff+src.Cols, i, dst.Cols))
-		}
-		if r := dstRows[i]; r < 0 || r >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterRowSpansInto row %d out of range for dst %d with %d rows", r, i, dst.Rows))
-		}
-	}
-	for i, dst := range dsts {
-		copy(dst.Row(dstRows[i])[colOff:colOff+src.Cols], src.Row(i))
 	}
 }

@@ -2,10 +2,10 @@ package tensor
 
 import "fmt"
 
-// Float32 twins of the ragged-batch gather/scatter helpers in batch.go,
-// used by the student tier's lockstep batched BiLSTM and beam decode. Like
-// their float64 counterparts they only move rows, never mix them, so slab
-// rows match B separate 1-row calls exactly.
+// Float32 twin of the ragged-batch gather helper in batch.go, used by the
+// student tier's batched beam decode. Like its float64 counterpart it only
+// moves rows, never mixes them, so slab rows match B separate 1-row calls
+// exactly.
 
 // GatherRowsInto32 copies row srcRows[i] of srcs[i] into row i of dst.
 func GatherRowsInto32(dst *Matrix32, srcs []*Matrix32, srcRows []int) {
@@ -25,51 +25,5 @@ func GatherRowsInto32(dst *Matrix32, srcs []*Matrix32, srcRows []int) {
 	}
 	for i, src := range srcs {
 		copy(dst.Row(i), src.Row(srcRows[i]))
-	}
-}
-
-// ScatterRowsInto32 copies row i of src into row dstRows[i] of dsts[i].
-func ScatterRowsInto32(dsts []*Matrix32, dstRows []int, src *Matrix32) {
-	if len(dsts) != len(dstRows) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto32 %d dsts, %d rows", len(dsts), len(dstRows)))
-	}
-	if src.Rows != len(dsts) {
-		panic(fmt.Sprintf("tensor: ScatterRowsInto32 src has %d rows, want %d", src.Rows, len(dsts)))
-	}
-	for i, dst := range dsts {
-		if dst.Cols != src.Cols {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto32 dst %d has %d cols, src has %d", i, dst.Cols, src.Cols))
-		}
-		if r := dstRows[i]; r < 0 || r >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterRowsInto32 row %d out of range for dst %d with %d rows", r, i, dst.Rows))
-		}
-	}
-	for i, dst := range dsts {
-		copy(dst.Row(dstRows[i]), src.Row(i))
-	}
-}
-
-// ScatterRowSpansInto32 copies row i of src into columns
-// [colOff, colOff+src.Cols) of row dstRows[i] of dsts[i].
-func ScatterRowSpansInto32(dsts []*Matrix32, dstRows []int, colOff int, src *Matrix32) {
-	if len(dsts) != len(dstRows) {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto32 %d dsts, %d rows", len(dsts), len(dstRows)))
-	}
-	if src.Rows != len(dsts) {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto32 src has %d rows, want %d", src.Rows, len(dsts)))
-	}
-	if colOff < 0 {
-		panic(fmt.Sprintf("tensor: ScatterRowSpansInto32 negative column offset %d", colOff))
-	}
-	for i, dst := range dsts {
-		if colOff+src.Cols > dst.Cols {
-			panic(fmt.Sprintf("tensor: ScatterRowSpansInto32 span [%d,%d) exceeds dst %d with %d cols", colOff, colOff+src.Cols, i, dst.Cols))
-		}
-		if r := dstRows[i]; r < 0 || r >= dst.Rows {
-			panic(fmt.Sprintf("tensor: ScatterRowSpansInto32 row %d out of range for dst %d with %d rows", r, i, dst.Rows))
-		}
-	}
-	for i, dst := range dsts {
-		copy(dst.Row(dstRows[i])[colOff:colOff+src.Cols], src.Row(i))
 	}
 }

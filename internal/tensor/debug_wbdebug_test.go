@@ -39,6 +39,20 @@ func TestFiniteGuardTrapsInf(t *testing.T) {
 	mustPanicFinite(t, "ScaleInto", func() { ScaleInto(New(1, 2), a, 2) })
 }
 
+// TestFiniteGuardTrapsNaNInLSTMCell: a NaN projection fed into the fused
+// cell kernel — which replaces a whole chain of guarded kernels on the
+// encoder path — is reported by that kernel, under its name.
+func TestFiniteGuardTrapsNaNInLSTMCell(t *testing.T) {
+	xp := Full(2, 8, 0.5)
+	xp.Data[5] = math.NaN()
+	mustPanicFinite(t, "LSTMCellInto", func() {
+		LSTMCellInto(New(2, 2), New(2, 2), xp, New(2, 8), New(1, 8))
+	})
+	mustPanicFinite(t, "LSTMCellInto32", func() {
+		LSTMCellInto32(New32(2, 2), New32(2, 2), ToMatrix32(xp), New32(2, 8), New32(1, 8))
+	})
+}
+
 // TestFiniteGuardPassesCleanData: ordinary finite data must flow through
 // guarded kernels untouched.
 func TestFiniteGuardPassesCleanData(t *testing.T) {

@@ -50,8 +50,8 @@ type Model interface {
 }
 
 // BatchForwarder is implemented by models whose Eval-mode forward can run
-// over several instances at once with the recurrent encoders advanced in
-// lockstep (see JointWB.ForwardBatchEval). The serving layer batch-dispatches
+// over several instances at once with the recurrent encoders streamed over
+// the whole batch (see JointWB.ForwardBatchEval). The serving layer batch-dispatches
 // through it when present; outs[i] must hold values identical to
 // Forward(t, insts[i], Eval).
 type BatchForwarder interface {

@@ -41,16 +41,16 @@ go test -race -run 'Chaos' ./internal/fault ./internal/crawler ./internal/serve
 echo "== wbdebug invariant layer"
 go test -tags wbdebug ./internal/ag ./internal/tensor
 
-echo "== allocation regression gates (warm fast path must stay allocation-free)"
-go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs' \
-    ./internal/ag ./internal/tensor ./internal/wb
+echo "== allocation regression gates (warm fast path allocation-free, streaming encoder holds nothing per timestep, arena settles at one slab)"
+go test -run 'TestInferTapeAllocationFree|TestPackBufReuse|TestInferScratchAllocs|TestBiLSTMForwardBatchFootprint|TestArenaSettlesAcrossShapes' \
+    ./internal/ag ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== kernel equivalence (blocked kernels vs naive reference, exact equality)"
+echo "== kernel equivalence (blocked kernels vs naive reference, fused LSTM cell vs composed kernels, exact equality)"
 go test -run 'TestKernelEquivalence|TestBeamSearchScratchMatchesReference|TestScratchBriefMatchesHeapTape' \
     ./internal/tensor ./internal/nn ./internal/wb
 
-echo "== batched equivalence (fused B-row forward/beam vs per-request path, exact equality, ragged batches)"
-go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineMidWindow' \
+echo "== batched equivalence (streaming Bi-LSTM vs Step recurrence in both precisions, fused beam vs per-request path, exact equality, ragged batches)"
+go test -race -run 'TestBiLSTMForwardBatchMatchesSerial|TestBiLSTM32ForwardBatchMatchesStep|TestBeamSearchBatchMatchesScratch|TestBatchedWireEquivalence|TestBatchedDeadlineMidWindow' \
     ./internal/nn ./internal/serve
 
 echo "== batched chaos gate (micro-batching on, one replica faulted, >=99% success)"
